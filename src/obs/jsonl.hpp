@@ -19,30 +19,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace hps::obs::jsonl {
-
-inline void put_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 // %.17g round-trips doubles exactly and is locale-independent for the values
 // we emit (the runner never produces inf/nan predictions).
@@ -71,7 +50,7 @@ inline void field_str(std::string& out, const char* key, const std::string& v) {
   out += ",\"";
   out += key;
   out += "\":";
-  put_escaped(out, v);
+  put_json_string(out, v);
 }
 
 // --- minimal flat-object JSON scanner -------------------------------------

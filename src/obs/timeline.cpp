@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace hps::obs {
 
 const char* interval_kind_name(IntervalKind k) {
@@ -28,31 +30,6 @@ SimTime TimelineRecorder::max_end() const {
   for (const Interval& iv : intervals_) m = std::max(m, iv.end);
   return m;
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void TimelineRecorder::write_chrome_trace(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -79,7 +56,7 @@ void TimelineRecorder::write_chrome_trace(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << track
-       << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+       << ",\"args\":{\"name\":" << json_string(name) << "}}";
   }
 
   for (const Interval& iv : intervals_) {

@@ -4,24 +4,11 @@
 #include <cstring>
 #include <unistd.h>
 
-#include "robust/journal.hpp"
+#include "robust/framed_log.hpp"
 
 namespace hps::robust::ipc {
 
 namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t decode_u32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-}
 
 int g_worker_result_fd = -1;
 
@@ -61,10 +48,7 @@ std::string encode_frame(const Message& m) {
   payload.push_back(static_cast<char>(m.type));
   payload += m.payload;
   std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame += payload;
+  append_frame(frame, payload);
   return frame;
 }
 
@@ -92,29 +76,37 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
   buf_.append(data, n);
 }
 
+namespace {
+
+/// Unpack a checked frame's payload: the type byte, then the message body.
+void unpack(std::string_view payload, Message& out) {
+  out.type = static_cast<MsgType>(static_cast<unsigned char>(payload[0]));
+  out.payload.assign(payload.substr(1));
+}
+
+}  // namespace
+
 FrameDecoder::Status FrameDecoder::next(Message& out) {
   if (corrupt_) return Status::kCorrupt;
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < 8) return Status::kNeedMore;
-  const std::uint32_t len = decode_u32(buf_.data() + pos_);
-  const std::uint32_t crc = decode_u32(buf_.data() + pos_ + 4);
-  if (len == 0 || len > max_frame_) {
-    // A zero-length payload can't even carry the type byte; an oversized one
-    // means the length field itself is garbage (or the peer is abusive).
-    corrupt_ = true;
-    reason_ = len == 0 ? "zero-length frame" : "oversized frame";
-    return Status::kCorrupt;
+  // A zero-length payload can't even carry the type byte; an oversized one
+  // means the length field itself is garbage (or the peer is abusive).
+  const FrameCheck fc = check_frame(std::string_view(buf_).substr(pos_), 1, max_frame_);
+  switch (fc.status) {
+    case FrameCheck::Status::kIncomplete:
+      return Status::kNeedMore;
+    case FrameCheck::Status::kBadLength:
+      corrupt_ = true;
+      reason_ = fc.len == 0 ? "zero-length frame" : "oversized frame";
+      return Status::kCorrupt;
+    case FrameCheck::Status::kBadCrc:
+      corrupt_ = true;
+      reason_ = "crc mismatch";
+      return Status::kCorrupt;
+    case FrameCheck::Status::kFrame:
+      break;
   }
-  if (avail < 8 + static_cast<std::size_t>(len)) return Status::kNeedMore;
-  const char* payload = buf_.data() + pos_ + 8;
-  if (crc32(payload, len) != crc) {
-    corrupt_ = true;
-    reason_ = "crc mismatch";
-    return Status::kCorrupt;
-  }
-  out.type = static_cast<MsgType>(static_cast<unsigned char>(payload[0]));
-  out.payload.assign(payload + 1, len - 1);
-  pos_ += 8 + len;
+  unpack(fc.payload, out);
+  pos_ += fc.size();
   return Status::kMessage;
 }
 
@@ -141,18 +133,17 @@ ReadStatus read_exact(int fd, char* p, std::size_t n) {
 ReadStatus read_message(int fd, Message& out, std::uint32_t max_frame) {
   // Exact-size reads: never consume bytes beyond this frame, so successive
   // calls on the same blocking fd each see a whole frame.
-  char header[8];
-  ReadStatus st = read_exact(fd, header, sizeof header);
+  std::string frame(kFrameHeaderBytes, '\0');
+  ReadStatus st = read_exact(fd, frame.data(), frame.size());
   if (st != ReadStatus::kMessage) return st;
-  const std::uint32_t len = decode_u32(header);
-  const std::uint32_t crc = decode_u32(header + 4);
-  if (len == 0 || len > max_frame) return ReadStatus::kCorrupt;
-  std::string payload(len, '\0');
-  st = read_exact(fd, payload.data(), len);
+  const FrameCheck head = check_frame(frame, 1, max_frame);
+  if (head.status == FrameCheck::Status::kBadLength) return ReadStatus::kCorrupt;
+  frame.resize(head.size());
+  st = read_exact(fd, frame.data() + kFrameHeaderBytes, head.len);
   if (st != ReadStatus::kMessage) return st == ReadStatus::kError ? st : ReadStatus::kCorrupt;
-  if (crc32(payload.data(), payload.size()) != crc) return ReadStatus::kCorrupt;
-  out.type = static_cast<MsgType>(static_cast<unsigned char>(payload[0]));
-  out.payload.assign(payload, 1, payload.size() - 1);
+  const FrameCheck fc = check_frame(frame, 1, max_frame);
+  if (fc.status != FrameCheck::Status::kFrame) return ReadStatus::kCorrupt;
+  unpack(fc.payload, out);
   return ReadStatus::kMessage;
 }
 

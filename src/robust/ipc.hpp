@@ -1,18 +1,16 @@
 // CRC-framed message transport, shared by the supervisor ↔ worker pipes
 // (supervisor.hpp) and the hpcsweepd request socket (src/serve/).
 //
-// Messages reuse the HPSJ record framing from journal.hpp —
+// Messages are CRC frames (framed_log.hpp) whose payload's first byte is the
+// message type; the rest is opaque to this layer. The CRC is not paranoia: a
+// worker that is dying (heap corruption, a signal landing mid-write) can emit
+// a torn or garbled frame — and an arbitrary network client can send literal
+// garbage. The stream's damage policy is to poison it: framing has no resync
+// point, so the first bad frame makes the rest of the stream untrustworthy.
+// The frame format and how this policy compares with the journal's and the
+// spill's is in docs/robustness.md ("CRC framing").
 //
-//   u32 payload_len | u32 crc32(payload) | payload
-//
-// where the payload's first byte is the message type and the rest is opaque
-// to this layer. The CRC is not paranoia: a worker that is dying (heap
-// corruption, a signal landing mid-write) can emit a torn or garbled frame —
-// and an arbitrary network client can send literal garbage — so both readers
-// must detect that deterministically and treat the stream as dead rather
-// than deserialize garbage.
-//
-// Two read paths share one decoder:
+// Two read paths share one frame check (check_frame):
 //  - workers (and the serve client) block on their fd (read_message), and
 //  - the supervisor and server poll many fds, feeding whatever bytes arrive
 //    into a per-peer FrameDecoder that yields complete messages as they
@@ -20,7 +18,7 @@
 //    unframeable).
 //
 // Both paths take the same per-stream frame-size cap, defaulting to
-// kMaxFrameBytes — the one constant the journal's record cap also aliases —
+// kMaxFrameBytes — the one constant the journal and spill record caps alias —
 // so "how big may a frame be" has exactly one answer per transport, chosen
 // where the stream is opened (the server caps client *requests* far lower).
 #pragma once
@@ -57,8 +55,8 @@ struct Message {
 };
 
 /// Default per-stream frame cap: frames larger than this are rejected as
-/// corrupt length fields. The journal's record cap is this same constant
-/// (robust/journal.cpp), not a second magic number.
+/// corrupt length fields. The journal's and the spill's record caps are this
+/// same constant, not a second magic number.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
 /// Frame a message: length/CRC header plus type byte plus payload.

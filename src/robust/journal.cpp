@@ -1,11 +1,13 @@
 #include "robust/journal.hpp"
 
-#include <array>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "robust/ipc.hpp"
 
@@ -15,31 +17,7 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'S', 'J'};
 constexpr std::uint32_t kJournalVersion = 1;
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
-  }
-  return t;
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-bool read_u32(std::FILE* f, std::uint32_t& v) {
-  unsigned char b[4];
-  if (std::fread(b, 1, 4, f) != 4) return false;
-  v = static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-      (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-  return true;
-}
+constexpr std::size_t kHeaderFixedBytes = 16;  // magic + version + key length + key CRC
 
 std::string header_bytes(const std::string& key) {
   std::string h(kMagic, sizeof(kMagic));
@@ -75,58 +53,48 @@ bool sync_parent_dir(const std::string& path) {
   return ok;
 }
 
-std::uint32_t crc32(const void* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
-  return c ^ 0xffffffffu;
+JournalScan scan_journal(const std::string& path) {
+  JournalScan out;
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return out;
+  out.existed = true;
+  const std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+
+  if (data.size() >= kHeaderFixedBytes && std::memcmp(data.data(), kMagic, 4) == 0) {
+    out.version = get_u32(data.data() + 4);
+    const std::uint32_t key_len = get_u32(data.data() + 8);
+    if (key_len <= data.size() - kHeaderFixedBytes) {
+      out.key = data.substr(kHeaderFixedBytes, key_len);
+      out.header_ok = crc32(out.key.data(), out.key.size()) == get_u32(data.data() + 12);
+    }
+  }
+  if (out.header_ok) {
+    out.valid_bytes = kHeaderFixedBytes + out.key.size();
+    // Keep the valid prefix: stop at the first frame that is not intact.
+    for (;;) {
+      const FrameCheck fc =
+          check_frame(std::string_view(data).substr(out.valid_bytes), 0, kMaxRecordBytes);
+      if (fc.status != FrameCheck::Status::kFrame) break;
+      out.records.emplace_back(fc.payload);
+      out.valid_bytes += fc.size();
+    }
+  }
+  out.torn_bytes = data.size() - out.valid_bytes;
+  return out;
 }
 
 JournalContents read_journal(const std::string& path, const std::string& key) {
+  JournalScan sc = scan_journal(path);
   JournalContents out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  out.existed = true;
-
-  std::error_code ec;
-  const std::uint64_t file_size = std::filesystem::file_size(path, ec);
-
-  char magic[4];
-  std::uint32_t version = 0, key_len = 0, key_crc = 0;
-  if (std::fread(magic, 1, 4, f) != 4 || std::memcmp(magic, kMagic, 4) != 0 ||
-      !read_u32(f, version) || version != kJournalVersion || !read_u32(f, key_len) ||
-      !read_u32(f, key_crc) || key_len != key.size()) {
-    std::fclose(f);
-    out.torn_bytes = ec ? 0 : file_size;
+  out.existed = sc.existed;
+  out.key_matched = sc.header_ok && sc.version == kJournalVersion && sc.key == key;
+  if (!out.key_matched) {
+    out.torn_bytes = sc.valid_bytes + sc.torn_bytes;
     return out;
   }
-  std::string stored_key(key_len, '\0');
-  if (key_len > 0 && std::fread(stored_key.data(), 1, key_len, f) != key_len) {
-    std::fclose(f);
-    out.torn_bytes = ec ? 0 : file_size;
-    return out;
-  }
-  if (stored_key != key || crc32(stored_key.data(), stored_key.size()) != key_crc) {
-    std::fclose(f);
-    out.torn_bytes = ec ? 0 : file_size;
-    return out;
-  }
-  out.key_matched = true;
-  out.valid_bytes = 16 + key_len;
-
-  for (;;) {
-    std::uint32_t len = 0, crc = 0;
-    if (!read_u32(f, len) || !read_u32(f, crc)) break;
-    if (len > kMaxRecordBytes) break;
-    std::string payload(len, '\0');
-    if (len > 0 && std::fread(payload.data(), 1, len, f) != len) break;
-    if (crc32(payload.data(), payload.size()) != crc) break;
-    out.records.push_back(std::move(payload));
-    out.valid_bytes += 8 + len;
-  }
-  std::fclose(f);
-  if (!ec && file_size > out.valid_bytes) out.torn_bytes = file_size - out.valid_bytes;
+  out.records = std::move(sc.records);
+  out.valid_bytes = sc.valid_bytes;
+  out.torn_bytes = sc.torn_bytes;
   return out;
 }
 
@@ -158,10 +126,7 @@ void JournalWriter::open_resume(const std::string& path, std::uint64_t valid_byt
 void JournalWriter::append(const std::string& record) {
   HPS_CHECK(f_ != nullptr);
   std::string frame;
-  frame.reserve(8 + record.size());
-  put_u32(frame, static_cast<std::uint32_t>(record.size()));
-  put_u32(frame, crc32(record.data(), record.size()));
-  frame += record;
+  append_frame(frame, record);
   if (std::fwrite(frame.data(), 1, frame.size(), f_) != frame.size())
     HPS_THROW("journal: append failed for " + path_);
   std::fflush(f_);

@@ -3,14 +3,16 @@
 // run_study appends each completed trace outcome to the journal as workers
 // finish; if the process dies mid-study (crash, OOM kill, injected exit), the
 // restart reads the journal back, keeps every intact record, and re-runs only
-// the missing specs. Records are framed as
+// the missing specs.
 //
-//   u32 payload_len | u32 crc32(payload) | payload bytes
-//
-// after a fixed header ("HPSJ", format version, and the caller's study key so
-// a journal is never resumed against a different corpus/config). A torn tail
-// — the partially flushed record of the dying write — fails its length or CRC
-// check and is truncated on resume; everything before it is trusted.
+// A journal is a fixed header — "HPSJ", format version, and the caller's
+// study key, so a journal is never resumed against a different
+// corpus/config — followed by CRC frames (framed_log.hpp). Its damage policy
+// keeps the valid prefix: the first frame that is cut short or fails its
+// length or CRC check ends the prefix, and everything after it is a torn tail
+// that open_resume() truncates. Empty records are legal. The byte layout and
+// how it compares with the other framed formats is in docs/robustness.md
+// ("CRC framing").
 //
 // The journal is payload-agnostic (records are opaque byte strings); the
 // study layer serializes TraceOutcome with the same codec as the result
@@ -22,10 +24,9 @@
 #include <string>
 #include <vector>
 
-namespace hps::robust {
+#include "robust/framed_log.hpp"
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`. Exposed for tests.
-std::uint32_t crc32(const void* data, std::size_t len);
+namespace hps::robust {
 
 /// fsync `path`'s data+metadata to stable storage. Atomic tmp+rename only
 /// survives a *process* crash by itself; surviving power loss additionally
@@ -47,9 +48,25 @@ struct JournalContents {
   std::uint64_t torn_bytes = 0;      ///< trailing bytes discarded (torn tail)
 };
 
-/// Read every intact record of `path`. Missing file → existed=false. A header
-/// mismatch (foreign magic/version/key) yields key_matched=false and no
-/// records — the caller should start fresh rather than resume.
+/// Key-less walk of a journal, for tools that do not know the study key
+/// (hpcsweep_inspect fsck). The header is checked only against its own
+/// stored key CRC; the version is reported, not judged.
+struct JournalScan {
+  bool existed = false;    ///< a journal file was present
+  bool header_ok = false;  ///< magic intact and the stored key matches its CRC
+  std::uint32_t version = 0;
+  std::string key;                   ///< the stored study key
+  std::vector<std::string> records;  ///< intact records, in append order
+  std::uint64_t valid_bytes = 0;     ///< header plus the intact records
+  std::uint64_t torn_bytes = 0;      ///< every byte after the valid prefix
+};
+
+JournalScan scan_journal(const std::string& path);
+
+/// Read every intact record of `path`: scan_journal() plus the study-key
+/// check. Missing file → existed=false. A header mismatch (foreign
+/// magic/version/key) yields key_matched=false and no records, with the whole
+/// file counted as torn — the caller should start fresh rather than resume.
 JournalContents read_journal(const std::string& path, const std::string& key);
 
 /// Appender. Every append() is framed, written, flushed, and fsynced before

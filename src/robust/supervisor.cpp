@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "robust/interrupt.hpp"
 #include "robust/ipc.hpp"
@@ -27,29 +28,6 @@ namespace hps::robust {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32(const std::string& s, std::size_t off) {
-  const auto* b = reinterpret_cast<const unsigned char*>(s.data() + off);
-  return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t get_u64(const std::string& s, std::size_t off) {
-  return static_cast<std::uint64_t>(get_u32(s, off)) |
-         (static_cast<std::uint64_t>(get_u32(s, off + 4)) << 32);
-}
 
 /// kTask payload header: u32 task index | u32 attempt | u64 trace id, then
 /// the opaque task bytes. Both ends are the same binary (fork without exec),
@@ -114,9 +92,9 @@ class SigpipeIgnore {
     if (m.type != ipc::MsgType::kTask || m.payload.size() < kTaskHeaderBytes) std::_Exit(3);
 
     WorkerEnv env;
-    env.task_index = get_u32(m.payload, 0);
-    env.attempt = static_cast<int>(get_u32(m.payload, 4));
-    const telemetry::TraceIdScope trace_scope(get_u64(m.payload, 8));
+    env.task_index = get_u32(m.payload.data());
+    env.attempt = static_cast<int>(get_u32(m.payload.data() + 4));
+    const telemetry::TraceIdScope trace_scope(get_u64(m.payload.data() + 8));
     const std::string task = m.payload.substr(kTaskHeaderBytes);
 
     ipc::Message reply;
@@ -331,7 +309,7 @@ void Supervisor::on_message(Worker& w, const ipc::Message& m) {
         handle_death(w, /*force_kill=*/true, "worker sent a truncated reply");
         return;
       }
-      const std::size_t idx = get_u32(m.payload, 0);
+      const std::size_t idx = get_u32(m.payload.data());
       if (w.task < 0 || idx != static_cast<std::size_t>(w.task) || idx >= tasks_.size()) {
         handle_death(w, /*force_kill=*/true, "worker replied for a task it was not assigned");
         return;

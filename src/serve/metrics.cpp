@@ -5,76 +5,12 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace hps::serve {
 
 namespace {
-
-// Same little-endian primitives as protocol.cpp (kept file-local there; a
-// metrics reply is a response frame, so its strings are capped by the
-// transport's frame limit, not kMaxRequestBytes).
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-struct Reader {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    HPS_REQUIRE(pos + n <= buf.size(), "serve metrics payload truncated");
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)])) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)])) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-  void done() const {
-    HPS_REQUIRE(pos == buf.size(), "serve metrics payload has trailing bytes");
-  }
-};
 
 std::string fmt_g(double v) {
   char buf[40];
@@ -143,7 +79,9 @@ std::string encode_metrics(const MetricsReply& m) {
 }
 
 MetricsReply decode_metrics(const std::string& payload) {
-  Reader rd{payload};
+  // A metrics reply is a response frame: its strings are capped by the
+  // transport's frame limit, not kMaxRequestBytes.
+  ByteReader rd(payload, "serve metrics payload");
   const std::uint32_t version = rd.u32();
   HPS_REQUIRE(version >= 2 && version <= kProtocolVersion,
               "serve metrics version " + std::to_string(version) + " unsupported");

@@ -1,88 +1,11 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace hps::serve {
-
-namespace {
-
-// Little-endian fixed-width primitives, string-backed (the payloads live in
-// ipc::Message::payload). Decoding is bounds-checked: a short payload is a
-// protocol violation, reported as hps::Error for the server to map onto
-// Status::kBadRequest.
-
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-struct Reader {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    HPS_REQUIRE(pos + n <= buf.size(), "serve payload truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buf[pos++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)])) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)])) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    HPS_REQUIRE(n <= kMaxRequestBytes, "serve payload string too large");
-    need(n);
-    std::string s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-  void done() const {
-    HPS_REQUIRE(pos == buf.size(), "serve payload has trailing bytes");
-  }
-};
-
-}  // namespace
 
 const char* request_kind_name(Request::Kind k) {
   switch (k) {
@@ -96,6 +19,10 @@ const char* request_kind_name(Request::Kind k) {
 }
 
 namespace {
+
+/// Decode failures are protocol violations, reported as hps::Error for the
+/// server to map onto Status::kBadRequest.
+constexpr const char* kPayloadLabel = "serve payload";
 
 /// A peer may speak any version in [kMinProtocolVersion, kProtocolVersion];
 /// newer-than-us is rejected (we cannot know what the extra bytes mean).
@@ -142,7 +69,7 @@ std::string encode_request(const Request& r) {
 }
 
 Request decode_request(const std::string& payload) {
-  Reader rd{payload};
+  ByteReader rd(payload, kPayloadLabel, kMaxRequestBytes);
   const std::uint32_t version = check_version(rd.u32(), "request");
   Request r;
   const std::uint8_t kind = rd.u8();
@@ -181,7 +108,7 @@ std::string encode_summary(const Summary& s) {
 }
 
 Summary decode_summary(const std::string& payload) {
-  Reader rd{payload};
+  ByteReader rd(payload, kPayloadLabel, kMaxRequestBytes);
   const std::uint32_t version = check_version(rd.u32(), "summary");
   Summary s;
   const std::uint8_t st = rd.u8();
@@ -227,7 +154,7 @@ std::string encode_stats(const Stats& s) {
 }
 
 Stats decode_stats(const std::string& payload) {
-  Reader rd{payload};
+  ByteReader rd(payload, kPayloadLabel, kMaxRequestBytes);
   const std::uint32_t version = check_version(rd.u32(), "stats");
   Stats s;
   for (std::uint64_t* v :

@@ -877,10 +877,10 @@ void Server::handle_connection(int fd, bool trusted) {
     }
   }
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    --active_conns_;
-  }
+  // Notify under the lock: once it is released, run()'s drain wait may
+  // return and ~Server destroy conn_cv_ while a late notify still runs.
+  std::lock_guard<std::mutex> lk(conn_mu_);
+  --active_conns_;
   conn_cv_.notify_all();
 }
 

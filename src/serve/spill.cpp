@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "robust/framed_log.hpp"
 #include "robust/ipc.hpp"
 #include "robust/journal.hpp"
 
@@ -22,85 +24,6 @@ constexpr std::size_t kHeaderBytes = 8;  // magic + u32 format version
 /// field, not a real cached result. Aliases the transport-wide frame limit,
 /// the same cap the journal uses.
 constexpr std::uint32_t kMaxSpillRecordBytes = robust::ipc::kMaxFrameBytes;
-
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-std::uint32_t peek_u32(const std::string& buf, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  return v;
-}
-
-struct Reader {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    HPS_REQUIRE(pos + n <= buf.size(), "spill record truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buf[pos++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = peek_u32(buf, pos);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-  void done() const {
-    HPS_REQUIRE(pos == buf.size(), "spill record has trailing bytes");
-  }
-};
-
-std::string frame_record(const std::string& payload) {
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, robust::crc32(payload.data(), payload.size()));
-  frame += payload;
-  return frame;
-}
 
 std::string header_bytes() {
   std::string h(kMagic, sizeof(kMagic));
@@ -132,7 +55,7 @@ std::string encode_spill_record(std::uint64_t key, const CachedResult& r) {
 }
 
 SpillRecord decode_spill_record(const std::string& payload) {
-  Reader rd{payload};
+  ByteReader rd(payload, "spill record");
   const std::uint32_t schema = rd.u32();
   HPS_REQUIRE(schema == kSpillRecordSchema,
               "spill record schema " + std::to_string(schema) + " unsupported");
@@ -152,7 +75,7 @@ SpillRecord decode_spill_record(const std::string& payload) {
   const std::uint32_t n = rd.u32();
   // Each record line costs at least its 4-byte length prefix; a count the
   // remaining bytes cannot hold is a corrupt field, not a big study.
-  HPS_REQUIRE(static_cast<std::uint64_t>(n) * 4 <= payload.size() - rd.pos,
+  HPS_REQUIRE(static_cast<std::uint64_t>(n) * 4 <= rd.remaining(),
               "spill record count out of range");
   rec.result.records.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) rec.result.records.push_back(rd.str());
@@ -170,44 +93,37 @@ SpillScan scan_spill_file(const std::string& path) {
   in.close();
 
   if (data.size() < kHeaderBytes || std::memcmp(data.data(), kMagic, 4) != 0 ||
-      peek_u32(data, 4) != kSpillFormatVersion) {
+      get_u32(data.data() + 4) != kSpillFormatVersion) {
     // Unrecognizable header: nothing in the file can be trusted.
     if (!data.empty()) sc.quarantine.push_back(std::move(data));
     return sc;
   }
   sc.header_ok = true;
 
-  std::size_t pos = kHeaderBytes;
-  while (pos < data.size()) {
-    const std::size_t remaining = data.size() - pos;
-    if (remaining < 8) {  // not even a frame header: torn tail
-      sc.torn_bytes = remaining;
+  std::string_view rest = std::string_view(data).substr(kHeaderBytes);
+  while (!rest.empty()) {
+    const robust::FrameCheck fc = robust::check_frame(rest, 1, kMaxSpillRecordBytes);
+    if (fc.status == robust::FrameCheck::Status::kIncomplete) {
+      // Cut short: the expected shape of a crash mid-append.
+      sc.torn_bytes = rest.size();
       break;
     }
-    const std::uint32_t len = peek_u32(data, pos);
-    const std::uint32_t crc = peek_u32(data, pos + 4);
-    if (len == 0 || len > kMaxSpillRecordBytes) {
+    if (fc.status == robust::FrameCheck::Status::kBadLength) {
       // Implausible length: we cannot trust it to skip over the frame, so
       // there is no resync point — condemn the remainder as one region.
-      sc.quarantine.push_back(data.substr(pos));
+      sc.quarantine.emplace_back(rest);
       break;
     }
-    if (remaining < 8 + static_cast<std::size_t>(len)) {
-      // Frame extends past EOF: the expected shape of a crash mid-append.
-      sc.torn_bytes = remaining;
-      break;
-    }
-    std::string payload = data.substr(pos + 8, len);
-    bool ok = robust::crc32(payload.data(), payload.size()) == crc;
+    bool ok = fc.status == robust::FrameCheck::Status::kFrame;
     if (ok) {
       try {
-        sc.records.push_back(decode_spill_record(payload));
+        sc.records.push_back(decode_spill_record(std::string(fc.payload)));
       } catch (const Error&) {
         ok = false;  // framed fine but violates the record schema
       }
     }
-    if (!ok) sc.quarantine.push_back(data.substr(pos, 8 + len));
-    pos += 8 + static_cast<std::size_t>(len);
+    if (!ok) sc.quarantine.emplace_back(rest.substr(0, fc.size()));
+    rest.remove_prefix(fc.size());
   }
   return sc;
 }
@@ -218,7 +134,7 @@ void write_spill_file(const std::string& path, const std::vector<SpillRecord>& r
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) HPS_THROW("spill: cannot open " + tmp + " for writing");
     std::string out = header_bytes();
-    for (const SpillRecord& r : records) out += frame_record(encode_spill_record(r.key, r.result));
+    for (const SpillRecord& r : records) robust::append_frame(out, encode_spill_record(r.key, r.result));
     const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size() &&
                     std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
     std::fclose(f);
@@ -280,7 +196,8 @@ void SpillWriter::close() {
 
 void SpillWriter::append(std::uint64_t key, const CachedResult& r) {
   HPS_CHECK(f_ != nullptr);
-  const std::string frame = frame_record(encode_spill_record(key, r));
+  std::string frame;
+  robust::append_frame(frame, encode_spill_record(key, r));
   if (std::fwrite(frame.data(), 1, frame.size(), f_) != frame.size())
     HPS_THROW("spill: append failed for " + path_);
   if (std::fflush(f_) != 0) HPS_THROW("spill: flush failed for " + path_);

@@ -1,26 +1,20 @@
 // On-disk spill format for the serve result cache (crash durability).
 //
-// A spill file is an append-only sequence of CRC-framed records behind a
-// small versioned header, sharing the framing discipline of the study
-// journal (robust/journal.hpp):
-//
-//   header:  "HPSC" | u32 format_version
-//   record:  u32 payload_len | u32 crc32(payload) | payload
-//
-// Each payload is one (cache key, CachedResult) pair in the wire codec style
-// of serve/protocol.cpp — little-endian fixed-width fields, length-prefixed
-// strings — so a recovered entry reproduces the original reply byte for
-// byte.
+// A spill file is a small versioned header ("HPSC" | u32 format_version)
+// followed by an append-only sequence of CRC frames (robust/framed_log.hpp).
+// Each frame's payload is one (cache key, CachedResult) pair in the wire
+// codec (common/bytes.hpp) — little-endian fixed-width fields,
+// length-prefixed strings — so a recovered entry reproduces the original
+// reply byte for byte.
 //
 // Recovery never trusts the file: scan_spill_file() validates every frame
-// and classifies damage instead of throwing. A mid-file frame whose CRC or
-// schema check fails is quarantined alone and the scan resynchronizes at the
-// next frame; an implausible length field condemns the remainder of the file
-// as one quarantined region; an incomplete trailing frame is a torn tail
-// (the expected shape of a crash mid-append) and is silently truncated, the
-// journal's discipline. The caller appends quarantined regions to a
-// `.quarantine` sidecar for forensics and rewrites the spill file from the
-// surviving records, so the file is clean again after every recovery.
+// and classifies damage instead of throwing — a bad frame is quarantined and
+// the scan resyncs, an implausible length condemns the remainder, a torn
+// tail is truncated. The full policy, beside the journal's and the IPC
+// stream's, is in docs/robustness.md ("CRC framing"). The caller appends
+// quarantined regions to a `.quarantine` sidecar for forensics and rewrites
+// the spill file from the surviving records, so the file is clean again
+// after every recovery.
 #pragma once
 
 #include <cstdint>

@@ -7,34 +7,12 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace hps::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string fmt_g(double v) {
   char buf[32];
@@ -127,7 +105,7 @@ void write_metrics_json(const Snapshot& snap, std::ostream& os) {
       if (m.kind != kind) continue;
       if (!first) os << ",";
       first = false;
-      os << "\"" << json_escape(m.name) << "\":";
+      os << json_string(m.name) << ":";
       if (kind == MetricKind::kHistogram) {
         os << "{\"bounds\":[";
         for (std::size_t i = 0; i < m.hist.bounds.size(); ++i)
@@ -156,8 +134,8 @@ void write_chrome_trace(const std::vector<SpanRecord>& spans, std::ostream& os) 
   for (const SpanRecord& s : spans) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\"" << json_escape(s.cat)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid;
+    os << "{\"name\":" << json_string(s.name) << ",\"cat\":" << json_string(s.cat)
+       << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid;
     std::snprintf(buf, sizeof buf, ",\"ts\":%.3f,\"dur\":%.3f",
                   static_cast<double>(s.start_ns) / 1e3, static_cast<double>(s.dur_ns) / 1e3);
     os << buf;
@@ -173,8 +151,7 @@ void write_chrome_trace(const std::vector<SpanRecord>& spans, std::ostream& os) 
       for (std::size_t i = 0; i < s.args.size(); ++i) {
         if (!first_arg) os << ",";
         first_arg = false;
-        os << "\"" << json_escape(s.args[i].first) << "\":\"" << json_escape(s.args[i].second)
-           << "\"";
+        os << json_string(s.args[i].first) << ":" << json_string(s.args[i].second);
       }
       os << "}";
     }

@@ -3,6 +3,7 @@
 // corrupt stream — the properties the supervisor's crash classification
 // depends on.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -10,6 +11,8 @@
 
 #include "robust/ipc.hpp"
 #include "robust/journal.hpp"
+
+#include "codec_testing.hpp"
 
 namespace hps::robust::ipc {
 namespace {
@@ -201,6 +204,56 @@ TEST(Ipc, CorruptReasonDistinguishesFailureModes) {
 
   FrameDecoder ok;
   EXPECT_STREQ(ok.corrupt_reason(), "");  // clean decoder: no reason
+}
+
+// Seeded mutation sweep over a two-frame stream, through both read paths.
+// Every mutation ends in kNeedMore/kCorrupt (FrameDecoder) or kEof/kCorrupt
+// (read_message) after yielding only messages that were actually sent.
+const std::vector<Message>& sweep_messages() {
+  static const std::vector<Message> msgs = {{MsgType::kRequest, "abc"},
+                                            {MsgType::kRecord, std::string(40, 'r')}};
+  return msgs;
+}
+
+std::string sweep_stream() {
+  std::string s;
+  for (const Message& m : sweep_messages()) s += encode_frame(m);
+  return s;
+}
+
+void expect_sent(const Message& got, std::size_t i, std::size_t case_no) {
+  ASSERT_LT(i, sweep_messages().size()) << "mutation " << case_no;
+  EXPECT_EQ(got.type, sweep_messages()[i].type) << "mutation " << case_no;
+  EXPECT_EQ(got.payload, sweep_messages()[i].payload) << "mutation " << case_no;
+}
+
+TEST(Ipc, MutatedStreamsDecodeOrPoisonTheFrameDecoder) {
+  hps::testing::for_each_mutation(sweep_stream(), [](const std::string& m, std::size_t c) {
+    FrameDecoder dec;
+    dec.feed(m.data(), m.size());
+    Message got;
+    std::size_t n = 0;
+    FrameDecoder::Status st;
+    while ((st = dec.next(got)) == FrameDecoder::Status::kMessage) expect_sent(got, n++, c);
+    EXPECT_EQ(st == FrameDecoder::Status::kCorrupt, dec.corrupt()) << "mutation " << c;
+  });
+}
+
+TEST(Ipc, MutatedStreamsDecodeOrPoisonReadMessageOverASocketpair) {
+  hps::testing::for_each_mutation(sweep_stream(), [](const std::string& m, std::size_t c) {
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    ASSERT_EQ(::write(sv[1], m.data(), m.size()), static_cast<ssize_t>(m.size()));
+    ::shutdown(sv[1], SHUT_WR);
+    Message got;
+    std::size_t n = 0;
+    ReadStatus st;
+    while ((st = read_message(sv[0], got)) == ReadStatus::kMessage) expect_sent(got, n++, c);
+    EXPECT_TRUE(st == ReadStatus::kEof || st == ReadStatus::kCorrupt)
+        << "mutation " << c << ": " << read_status_name(st);
+    ::close(sv[0]);
+    ::close(sv[1]);
+  });
 }
 
 TEST(Ipc, MsgTypeNames) {

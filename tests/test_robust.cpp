@@ -22,8 +22,11 @@
 #include "robust/cancel.hpp"
 #include "robust/fault.hpp"
 #include "robust/guard.hpp"
+#include "robust/ipc.hpp"
 #include "robust/journal.hpp"
 #include "workloads/corpus.hpp"
+
+#include "codec_testing.hpp"
 
 namespace hps {
 namespace {
@@ -306,6 +309,50 @@ TEST(Journal, RoundTrip) {
   std::remove(path.c_str());
 }
 
+// Golden bytes: the journal file and the IPC frame share one CRC framing.
+// The hex constants were captured before that framing moved into
+// robust/framed_log; a journal written then must still resume now.
+constexpr const char* kGoldenJournalHex =
+    "4850534a0100000009000000f24143f973747564792d6b6579050000006a39e0d0616c70"
+    "68610000000000000000";
+constexpr const char* kGoldenFrameHex =
+    "04000000531038bb10616263";
+
+TEST(Journal, GoldenBytesAreStableAndReadBack) {
+  const std::string path = tmp_path("journal_golden");
+  std::remove(path.c_str());
+  {
+    robust::JournalWriter w;
+    w.open_fresh(path, "study-key");
+    w.append("alpha");
+    w.append("");
+  }
+  EXPECT_EQ(hps::testing::to_hex(slurp(path)), kGoldenJournalHex);
+
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << hps::testing::from_hex(kGoldenJournalHex);
+  }
+  const auto back = robust::read_journal(path, "study-key");
+  EXPECT_TRUE(back.key_matched);
+  ASSERT_EQ(back.records.size(), 2u);
+  EXPECT_EQ(back.records[0], "alpha");
+  EXPECT_EQ(back.records[1], "");
+  EXPECT_EQ(back.torn_bytes, 0u);
+  std::remove(path.c_str());
+
+  namespace ipc = robust::ipc;
+  EXPECT_EQ(hps::testing::to_hex(ipc::encode_frame({ipc::MsgType::kRequest, "abc"})),
+            kGoldenFrameHex);
+  ipc::FrameDecoder dec;
+  const std::string frame = hps::testing::from_hex(kGoldenFrameHex);
+  dec.feed(frame.data(), frame.size());
+  ipc::Message m;
+  ASSERT_EQ(dec.next(m), ipc::FrameDecoder::Status::kMessage);
+  EXPECT_EQ(m.type, ipc::MsgType::kRequest);
+  EXPECT_EQ(m.payload, "abc");
+}
+
 TEST(Journal, TornTailIsDiscardedAndResumable) {
   const std::string path = tmp_path("journal_torn");
   std::remove(path.c_str());
@@ -356,6 +403,70 @@ TEST(Journal, CorruptedRecordStopsTheValidPrefix) {
   ASSERT_EQ(back.records.size(), 1u);
   EXPECT_EQ(back.records[0], "good");
   EXPECT_GT(back.torn_bytes, 0u);
+  std::remove(path.c_str());
+}
+
+// Seeded mutation sweep over a journal file. Neither reader throws: every
+// mutation yields a prefix of the records actually written, and the bytes
+// past that prefix are all counted as torn.
+TEST(Journal, MutatedFilesKeepAnIntactPrefix) {
+  const std::string path = tmp_path("journal_sweep");
+  const std::vector<std::string> written = {"alpha", "", "gamma-record"};
+  {
+    robust::JournalWriter w;
+    w.open_fresh(path, "k");
+    for (const std::string& r : written) w.append(r);
+  }
+  const std::string pristine = slurp(path);
+  const auto expect_prefix = [&](const std::vector<std::string>& got, std::size_t c) {
+    ASSERT_LE(got.size(), written.size()) << "mutation " << c;
+    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], written[i]) << "mutation " << c;
+  };
+  hps::testing::for_each_mutation(pristine, [&](const std::string& m, std::size_t c) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << m;
+    }
+    robust::JournalContents back;
+    ASSERT_NO_THROW(back = robust::read_journal(path, "k")) << "mutation " << c;
+    expect_prefix(back.records, c);
+    EXPECT_EQ(back.valid_bytes + back.torn_bytes, m.size()) << "mutation " << c;
+    if (!back.key_matched) {
+      EXPECT_TRUE(back.records.empty()) << "mutation " << c;
+    }
+
+    robust::JournalScan scan;
+    ASSERT_NO_THROW(scan = robust::scan_journal(path)) << "mutation " << c;
+    expect_prefix(scan.records, c);
+    EXPECT_EQ(scan.valid_bytes + scan.torn_bytes, m.size()) << "mutation " << c;
+    if (back.key_matched) {
+      EXPECT_EQ(scan.records, back.records) << "mutation " << c;
+    }
+  });
+  std::remove(path.c_str());
+}
+
+TEST(Journal, KeylessScanReportsTheStoredKeyAndTornTail) {
+  const std::string path = tmp_path("journal_scan");
+  {
+    robust::JournalWriter w;
+    w.open_fresh(path, "study-key");
+    w.append("one");
+    w.append("two");
+  }
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::app);
+    os.write("\x40\x00\x00", 3);
+  }
+  const robust::JournalScan scan = robust::scan_journal(path);
+  EXPECT_TRUE(scan.existed);
+  EXPECT_TRUE(scan.header_ok);
+  EXPECT_EQ(scan.version, 1u);
+  EXPECT_EQ(scan.key, "study-key");
+  EXPECT_EQ(scan.records, (std::vector<std::string>{"one", "two"}));
+  EXPECT_EQ(scan.torn_bytes, 3u);
+  EXPECT_EQ(scan.valid_bytes, robust::read_journal(path, "study-key").valid_bytes);
+  EXPECT_FALSE(robust::scan_journal(path + ".nope").existed);
   std::remove(path.c_str());
 }
 

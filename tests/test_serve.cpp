@@ -35,6 +35,8 @@
 #include "serve/server.hpp"
 #include "serve/spill.hpp"
 
+#include "codec_testing.hpp"
+
 namespace hps::serve {
 namespace {
 
@@ -117,6 +119,83 @@ TEST(ServeProtocol, SummaryAndStatsRoundTrip) {
   EXPECT_NE(j.find("\"rejected_queue_full\":2"), std::string::npos);
 }
 
+// Golden bytes: the wire layout, pinned. The hex constants were captured from
+// the codec before it moved into common/bytes.hpp; any drift here is a wire
+// break for every peer already deployed.
+
+Request golden_request() {
+  Request r;
+  r.kind = Request::Kind::kStudy;
+  r.seed = 0x0123456789abcdefull;
+  r.duration_scale = 0.375;
+  r.limit = 17;
+  r.force_recompute = true;
+  r.wall_deadline_s = 12.5;
+  r.max_des_events = 9876543210ull;
+  r.virtual_horizon_ns = -2;
+  r.deadline_ms = 1500;
+  return r;
+}
+
+Summary golden_summary() {
+  Summary s;
+  s.status = Status::kDegraded;
+  s.cache_hit = true;
+  s.records = 42;
+  s.degraded = 3;
+  s.wall_seconds = 1.25;
+  s.detail = "a\"b";
+  s.mfact_fallback = true;
+  return s;
+}
+
+Stats golden_stats() {
+  Stats s;
+  std::uint64_t v = 1;
+  for (std::uint64_t* f :
+       {&s.requests, &s.studies_run, &s.cache_hits, &s.cache_misses, &s.cache_bytes,
+        &s.cache_entries, &s.cache_evictions, &s.coalesced, &s.rejected_queue_full,
+        &s.rejected_draining, &s.rejected_bad, &s.rejected_conn_limit, &s.active,
+        &s.queued, &s.uptime_ms, &s.ledger_records, &s.spans_dropped,
+        &s.rejected_expired, &s.shed_queue_delay, &s.degraded_fallback,
+        &s.rejected_slow_read, &s.ledger_write_errors, &s.cache_spilled,
+        &s.cache_recovered, &s.cache_quarantined, &s.cache_recovery_ms,
+        &s.cache_scrub_passes, &s.cache_scrub_corrupt})
+    *f = v++;
+  return s;
+}
+
+constexpr const char* kGoldenRequestHex =
+    "0400000001efcdab8967452301000000000000d83f11000000010000000000002940ea16"
+    "b04c02000000feffffffffffffffdc05000000000000";
+constexpr const char* kGoldenSummaryHex =
+    "0400000001012a00000003000000000000000000f43f0300000061226201";
+constexpr const char* kGoldenStatsHex =
+    "040000000100000000000000020000000000000003000000000000000400000000000000"
+    "050000000000000006000000000000000700000000000000080000000000000009000000"
+    "000000000a000000000000000b000000000000000c000000000000000d00000000000000"
+    "0e000000000000000f000000000000001000000000000000110000000000000012000000"
+    "000000001300000000000000140000000000000015000000000000001600000000000000"
+    "1700000000000000180000000000000019000000000000001a000000000000001b000000"
+    "000000001c00000000000000";
+
+TEST(ServeProtocol, GoldenBytesAreStable) {
+  using hps::testing::from_hex;
+  using hps::testing::to_hex;
+  EXPECT_EQ(to_hex(encode_request(golden_request())), kGoldenRequestHex);
+  EXPECT_EQ(to_hex(encode_summary(golden_summary())), kGoldenSummaryHex);
+  EXPECT_EQ(to_hex(encode_stats(golden_stats())), kGoldenStatsHex);
+
+  const Request r = decode_request(from_hex(kGoldenRequestHex));
+  EXPECT_EQ(r.seed, golden_request().seed);
+  EXPECT_EQ(r.virtual_horizon_ns, -2);
+  EXPECT_EQ(r.deadline_ms, 1500u);
+  const Summary s = decode_summary(from_hex(kGoldenSummaryHex));
+  EXPECT_EQ(s.detail, "a\"b");
+  EXPECT_TRUE(s.mfact_fallback);
+  EXPECT_EQ(decode_stats(from_hex(kGoldenStatsHex)).cache_scrub_corrupt, 28u);
+}
+
 TEST(ServeProtocol, DecodeRejectsGarbledPayloads) {
   Request r;
   const std::string ok = encode_request(r);
@@ -129,6 +208,18 @@ TEST(ServeProtocol, DecodeRejectsGarbledPayloads) {
   bad_kind[4] = 99;  // kind byte follows the u32 version
   EXPECT_THROW(decode_request(bad_kind), hps::Error);
   EXPECT_THROW(decode_request(""), hps::Error);
+}
+
+// Every decoder behind the socket, swept with seeded mutations: each input is
+// decoded or rejected with hps::Error, never a third outcome.
+TEST(ServeProtocol, MutatedPayloadsDecodeOrRejectWithError) {
+  using hps::testing::expect_decoded_or_rejected;
+  expect_decoded_or_rejected(encode_request(golden_request()),
+                             [](const std::string& p) { decode_request(p); });
+  expect_decoded_or_rejected(encode_summary(golden_summary()),
+                             [](const std::string& p) { decode_summary(p); });
+  expect_decoded_or_rejected(encode_stats(golden_stats()),
+                             [](const std::string& p) { decode_stats(p); });
 }
 
 TEST(ServeProtocol, Names) {
@@ -772,6 +863,52 @@ TEST(ServeMetrics, MetricsReplyCodecRoundTrip) {
   EXPECT_THROW(decode_metrics(""), hps::Error);
 }
 
+constexpr const char* kGoldenMetricsHex =
+    "04000000e400000004000000010000000000000002000000000000000300000000000000"
+    "040000000000000005000000000000000600000000000000070000000000000008000000"
+    "0000000009000000000000000a000000000000000b000000000000000c00000000000000"
+    "0d000000000000000e000000000000000f00000000000000100000000000000011000000"
+    "000000001200000000000000130000000000000014000000000000001500000000000000"
+    "16000000000000001700000000000000180000000000000019000000000000001a000000"
+    "000000001b000000000000001c0000000000000000000000000029400100000013000000"
+    "73657276652e70686173652e6578656375746502000000fca9f1d24d62503f9a99999999"
+    "99b93f030000000100000000000000020000000000000000000000000000000300000000"
+    "000000000000000000c03f01000000070000007374656e63696c060000007061636b6574"
+    "0400000000000000000000000000d03f";
+
+TEST(ServeMetrics, MetricsReplyGoldenBytesAreStable) {
+  MetricsReply m;
+  m.stats = golden_stats();
+  m.uptime_seconds = 12.5;
+  MetricsReply::Hist h;
+  h.name = std::string(kPhaseMetricPrefix) + "execute";
+  h.data.bounds = {0.001, 0.1};
+  h.data.buckets = {1, 2, 0};
+  h.data.count = 3;
+  h.data.sum = 0.125;
+  m.hists.push_back(h);
+  obs::CostCell cell;
+  cell.app_class = "stencil";
+  cell.scheme = "packet";
+  cell.count = 4;
+  cell.wall_seconds = 0.25;
+  m.costs.push_back(cell);
+  EXPECT_EQ(hps::testing::to_hex(encode_metrics(m)), kGoldenMetricsHex);
+
+  const MetricsReply got = decode_metrics(hps::testing::from_hex(kGoldenMetricsHex));
+  EXPECT_EQ(got.stats.queued, 14u);
+  ASSERT_EQ(got.hists.size(), 1u);
+  EXPECT_EQ(got.hists[0].name, h.name);
+  EXPECT_EQ(got.hists[0].data.buckets, h.data.buckets);
+  ASSERT_EQ(got.costs.size(), 1u);
+  EXPECT_EQ(got.costs[0].scheme, "packet");
+}
+
+TEST(ServeMetrics, MutatedRepliesDecodeOrRejectWithError) {
+  hps::testing::expect_decoded_or_rejected(hps::testing::from_hex(kGoldenMetricsHex),
+                                           [](const std::string& p) { decode_metrics(p); });
+}
+
 // ---------------------------------------------------------------------------
 // Live observability: kMetrics, serve ledger, tracing neutrality
 
@@ -1411,6 +1548,45 @@ TEST(SpillCodec, DecodeRejectsTruncationTrailingBytesAndBadSchema) {
   EXPECT_THROW(decode_spill_record(bad_schema), hps::Error);
 }
 
+constexpr const char* kGoldenSpillHex =
+    "48505343010000006500000029bc1111010000000b000000000000000000000000000000"
+    "0000000c40001d0000006c6174656e63792d626f756e642c62616e6477696474682d626f"
+    "756e64020000000e0000007b227472616365223a227331227d100000007b227472616365"
+    "223a2273317331227d650000000a1ee06501000000160000000000000001030000000000"
+    "000000000c40011d0000006c6174656e63792d626f756e642c62616e6477696474682d62"
+    "6f756e64020000000e0000007b227472616365223a227332227d100000007b2274726163"
+    "65223a2273327332227d";
+
+TEST(SpillFile, GoldenBytesAreStableAndReadBack) {
+  const std::string dir = fresh_cache_dir();
+  const std::string path = spill_path(dir);
+  write_spill_file(path, {{11, *durable_result("s1")}, {22, *durable_result("s2", true)}});
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(hps::testing::to_hex(bytes), kGoldenSpillHex);
+
+  // A file written by the pinned layout reads back record for record.
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    const std::string golden = hps::testing::from_hex(kGoldenSpillHex);
+    f.write(golden.data(), static_cast<std::streamsize>(golden.size()));
+  }
+  const SpillScan scan = scan_spill_file(path);
+  EXPECT_TRUE(scan.header_ok);
+  EXPECT_TRUE(scan.quarantine.empty());
+  EXPECT_EQ(scan.torn_bytes, 0u);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.records[0].key, 11u);
+  EXPECT_EQ(scan.records[0].result.records, durable_result("s1")->records);
+  EXPECT_EQ(scan.records[1].key, 22u);
+  EXPECT_TRUE(scan.records[1].result.mfact_fallback);
+  EXPECT_EQ(scan.records[1].result.records, durable_result("s2")->records);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SpillFile, WriterThenScanRoundTripsRecords) {
   const std::string dir = fresh_cache_dir();
   const std::string path = spill_path(dir);
@@ -1557,9 +1733,7 @@ TEST(DurableCache, ExhaustiveSingleByteCorruptionSweep) {
   }
   ASSERT_GT(pristine.size(), 16u);
 
-  for (std::size_t i = 0; i < pristine.size(); ++i) {
-    std::string mutated = pristine;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0xff);
+  hps::testing::for_each_byte_flip(pristine, [&](const std::string& mutated, std::size_t i) {
     {
       std::ofstream f(spill_path(dir), std::ios::binary | std::ios::trunc);
       f.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
@@ -1587,7 +1761,7 @@ TEST(DurableCache, ExhaustiveSingleByteCorruptionSweep) {
           << "byte " << i << " lost " << missing << " record(s) without accounting";
     }
     EXPECT_EQ(rs.recovered, 2u - missing) << "byte " << i;
-  }
+  });
   std::filesystem::remove_all(dir);
 }
 

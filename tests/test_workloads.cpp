@@ -111,6 +111,11 @@ struct GenCase {
   Rank ranks;
 };
 
+// Without a printer gtest dumps the raw bytes, which include the heap address
+// of the string buffer; that dump ends up in the ctest name, so the names
+// would change on every rebuild.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.app << '/' << c.ranks; }
+
 class AllGenerators : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(AllGenerators, ProducesValidNonTrivialTrace) {

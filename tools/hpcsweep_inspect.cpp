@@ -757,59 +757,6 @@ int cmd_cost(const Flags& f) {
 
 // --- fsck: offline validation / repair of durable serving state -----------
 
-/// Journal walk without a study key: fsck validates the header against its
-/// own stored key CRC (read_journal needs the caller's key, which an offline
-/// tool does not have) and then CRC-checks every frame.
-struct JournalFsck {
-  bool existed = false;
-  bool header_ok = false;
-  std::size_t records = 0;
-  std::uint64_t valid_bytes = 0;  ///< intact prefix (header + whole frames)
-  std::uint64_t torn_bytes = 0;
-};
-
-JournalFsck walk_journal(const std::string& path) {
-  JournalFsck out;
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) return out;
-  out.existed = true;
-  std::error_code ec;
-  const std::uint64_t file_size = std::filesystem::file_size(path, ec);
-  const auto read_u32 = [&](std::uint32_t& v) {
-    unsigned char b[4];
-    if (std::fread(b, 1, 4, fp) != 4) return false;
-    v = static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
-        static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
-    return true;
-  };
-  char magic[4];
-  std::uint32_t version = 0, key_len = 0, key_crc = 0;
-  std::string key;
-  if (std::fread(magic, 1, 4, fp) == 4 && std::memcmp(magic, "HPSJ", 4) == 0 &&
-      read_u32(version) && read_u32(key_len) && read_u32(key_crc) &&
-      key_len <= (1u << 20)) {
-    key.resize(key_len);
-    if (key_len == 0 || std::fread(key.data(), 1, key_len, fp) == key_len)
-      out.header_ok = robust::crc32(key.data(), key.size()) == key_crc;
-  }
-  if (out.header_ok) {
-    out.valid_bytes = 16 + key_len;
-    for (;;) {
-      std::uint32_t len = 0, crc = 0;
-      if (!read_u32(len) || !read_u32(crc)) break;
-      if (len > (64u << 20)) break;
-      std::string payload(len, '\0');
-      if (len > 0 && std::fread(payload.data(), 1, len, fp) != len) break;
-      if (robust::crc32(payload.data(), payload.size()) != crc) break;
-      ++out.records;
-      out.valid_bytes += 8 + len;
-    }
-  }
-  std::fclose(fp);
-  if (!ec && file_size > out.valid_bytes) out.torn_bytes = file_size - out.valid_bytes;
-  return out;
-}
-
 int cmd_fsck(const Flags& f) {
   if (f.cache_dir.empty() && f.journal.empty() && f.serve_ledger.empty()) {
     std::fprintf(stderr,
@@ -847,12 +794,12 @@ int cmd_fsck(const Flags& f) {
   }
 
   if (!f.journal.empty()) {
-    const JournalFsck jf = walk_journal(f.journal);
+    const robust::JournalScan jf = robust::scan_journal(f.journal);
     if (!jf.existed) {
       std::printf("journal %s: missing (nothing to check)\n", f.journal.c_str());
     } else {
       std::printf("journal %s: %zu record(s), %llu torn byte(s)%s\n", f.journal.c_str(),
-                  jf.records, static_cast<unsigned long long>(jf.torn_bytes),
+                  jf.records.size(), static_cast<unsigned long long>(jf.torn_bytes),
                   jf.header_ok ? "" : " [bad header]");
       if (!jf.header_ok) {
         // No intact prefix to keep; truncating would only destroy evidence.
