@@ -14,14 +14,15 @@ using trace::OpType;
 int pow2_floor(int n) { return 1 << (std::bit_width(static_cast<unsigned>(n)) - 1); }
 int pow2_ceil(int n) { return static_cast<int>(std::bit_ceil(static_cast<unsigned>(n))); }
 
+// The algorithms below emit seq = 0; number_messages() fills it in.
 void isend(std::vector<SubOp>& out, int peer, std::uint64_t bytes) {
-  out.push_back({SubOp::Kind::kIsend, static_cast<Rank>(peer), bytes});
+  out.push_back({SubOp::Kind::kIsend, 0, static_cast<Rank>(peer), bytes});
 }
 void recv(std::vector<SubOp>& out, int peer, std::uint64_t bytes) {
-  out.push_back({SubOp::Kind::kRecv, static_cast<Rank>(peer), bytes});
+  out.push_back({SubOp::Kind::kRecv, 0, static_cast<Rank>(peer), bytes});
 }
-void wait_one(std::vector<SubOp>& out) { out.push_back({SubOp::Kind::kWaitOne, -1, 0}); }
-void wait_all(std::vector<SubOp>& out) { out.push_back({SubOp::Kind::kWaitAll, -1, 0}); }
+void wait_one(std::vector<SubOp>& out) { out.push_back({SubOp::Kind::kWaitOne, 0, -1, 0}); }
+void wait_all(std::vector<SubOp>& out) { out.push_back({SubOp::Kind::kWaitAll, 0, -1, 0}); }
 
 /// Exchange with a partner: isend + recv + complete the isend. The standard
 /// deadlock-free sendrecv building block of the doubling algorithms.
@@ -274,6 +275,27 @@ void alltoallv_pairwise(const CollectiveDesc& d, std::vector<SubOp>& out) {
   }
 }
 
+/// Give every Isend and Recv its per-peer ordinal (SubOp::seq). The counters
+/// (Isend and Recv interleaved per peer) are one buffer per thread, grown to
+/// the largest communicator seen and left all zero after each call: only the
+/// entries this schedule touched are reset.
+void number_messages(int n, std::vector<SubOp>& out) {
+  thread_local std::vector<std::uint32_t> counts;
+  const std::size_t need = 2 * static_cast<std::size_t>(n);
+  if (counts.size() < need) counts.resize(need);
+  auto slot = [](const SubOp& op) {
+    return 2 * static_cast<std::size_t>(op.peer) + (op.kind == SubOp::Kind::kRecv ? 1 : 0);
+  };
+  for (SubOp& op : out) {
+    if (op.kind != SubOp::Kind::kIsend && op.kind != SubOp::Kind::kRecv) continue;
+    const std::uint32_t seq = counts[slot(op)]++;
+    HPS_CHECK_MSG(seq <= UINT16_MAX, "collective schedule: over 65536 messages to one peer");
+    op.seq = static_cast<std::uint16_t>(seq);
+  }
+  for (const SubOp& op : out)
+    if (op.kind == SubOp::Kind::kIsend || op.kind == SubOp::Kind::kRecv) counts[slot(op)] = 0;
+}
+
 }  // namespace
 
 int dissemination_rounds(int n) {
@@ -334,6 +356,7 @@ void expand_collective(const CollectiveDesc& d, const CollectiveAlgos& algos,
     default:
       HPS_CHECK_MSG(false, "expand_collective: not a collective op");
   }
+  number_messages(d.n, out);
 }
 
 }  // namespace hps::simmpi

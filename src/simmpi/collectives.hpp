@@ -29,9 +29,15 @@ struct SubOp {
     kWaitAll,  ///< complete every outstanding collective Isend
   };
   Kind kind = Kind::kIsend;
+  /// Matching ordinal: this is the seq-th Isend to (kIsend) or Recv from
+  /// (kRecv) `peer` in this schedule, counting from 0; 0 for the waits.
+  /// Every collective instance has a tag of its own, so (tag, seq) fixes the
+  /// message's place in its MPI stream without a per-stream counter.
+  std::uint16_t seq = 0;
   Rank peer = -1;        ///< peer *index within the communicator*
   std::uint64_t bytes = 0;
 };
+static_assert(sizeof(SubOp) == 16, "seq must stay in SubOp's padding");
 
 /// Algorithm selection knobs (the ablation bench varies these).
 struct CollectiveAlgos {
@@ -58,7 +64,9 @@ struct CollectiveDesc {
   std::span<const std::uint64_t> recv_sizes;
 };
 
-/// Expand the collective into `out` (cleared first).
+/// Expand the collective into `out` (cleared first), with every Isend and
+/// Recv numbered by `seq`. HPS_CHECK fails if more than 65,536 messages
+/// would go to, or come from, one peer.
 void expand_collective(const CollectiveDesc& d, const CollectiveAlgos& algos,
                        std::vector<SubOp>& out);
 

@@ -178,7 +178,8 @@ bool Replayer::exec_event(Rank r, RankState& st, const trace::Event& e) {
       return false;
     }
     case OpType::kSend:
-      do_send(r, st, e.peer, e.tag, e.bytes, /*blocking=*/true, -1);
+      do_send(r, st, e.peer, e.tag, st.send_seq[stream_key(e.peer, e.tag)]++, e.bytes,
+              /*blocking=*/true, -1);
       if (st.block != Block::kNone) return false;
       schedule_advance(r, eng_.now() + call_o);
       return false;
@@ -186,18 +187,21 @@ bool Replayer::exec_event(Rank r, RankState& st, const trace::Event& e) {
       const std::int64_t req = e.request;
       st.pending_reqs[static_cast<std::uint64_t>(req)] = 1;
       ++st.pending_app;
-      do_send(r, st, e.peer, e.tag, e.bytes, /*blocking=*/false, req);
+      do_send(r, st, e.peer, e.tag, st.send_seq[stream_key(e.peer, e.tag)]++, e.bytes,
+              /*blocking=*/false, req);
       schedule_advance(r, eng_.now() + call_o);
       return false;
     }
     case OpType::kRecv:
-      do_recv(r, st, e.peer, e.tag, /*blocking=*/true, -1);
+      do_recv(r, st, e.peer, e.tag, st.recv_seq[stream_key(e.peer, e.tag)]++,
+              /*blocking=*/true, -1);
       return st.block == Block::kNone;
     case OpType::kIrecv: {
       const std::int64_t req = e.request;
       st.pending_reqs[static_cast<std::uint64_t>(req)] = 1;
       ++st.pending_app;
-      do_recv(r, st, e.peer, e.tag, /*blocking=*/false, req);
+      do_recv(r, st, e.peer, e.tag, st.recv_seq[stream_key(e.peer, e.tag)]++,
+              /*blocking=*/false, req);
       return true;
     }
     case OpType::kWait:
@@ -221,13 +225,13 @@ bool Replayer::exec_subop(Rank r, RankState& st, const SubOp& op) {
       const Rank dst = members[static_cast<std::size_t>(op.peer)];
       const std::int64_t req = new_coll_req(st);
       st.coll_isends.push_back(req);
-      do_send(r, st, dst, st.coll_tag, op.bytes, /*blocking=*/false, req);
+      do_send(r, st, dst, st.coll_tag, op.seq, op.bytes, /*blocking=*/false, req);
       schedule_advance(r, eng_.now() + call_o);
       return false;
     }
     case SubOp::Kind::kRecv: {
       const Rank src = members[static_cast<std::size_t>(op.peer)];
-      do_recv(r, st, src, st.coll_tag, /*blocking=*/true, -1);
+      do_recv(r, st, src, st.coll_tag, op.seq, /*blocking=*/true, -1);
       return st.block == Block::kNone;
     }
     case SubOp::Kind::kWaitOne: {
@@ -279,9 +283,8 @@ std::uint32_t Replayer::match_of(const detail::MatchKey& key) {
   return mapped - 1;
 }
 
-void Replayer::do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint64_t bytes,
-                       bool blocking, std::int64_t req) {
-  const std::uint32_t seq = st.send_seq[stream_key(dst, tag)]++;
+void Replayer::do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint32_t seq,
+                       std::uint64_t bytes, bool blocking, std::int64_t req) {
   const detail::MatchKey key{r, dst, tag, seq};
   const std::uint32_t slot = match_of(key);
   MatchState& ms = match_pool_[slot];
@@ -307,9 +310,8 @@ void Replayer::do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint64_t b
   }
 }
 
-void Replayer::do_recv(Rank r, RankState& st, Rank src, Tag tag, bool blocking,
-                       std::int64_t req) {
-  const std::uint32_t seq = st.recv_seq[stream_key(src, tag)]++;
+void Replayer::do_recv(Rank r, RankState& st, Rank src, Tag tag, std::uint32_t seq,
+                       bool blocking, std::int64_t req) {
   const detail::MatchKey key{src, r, tag, seq};
   const std::uint32_t slot = match_of(key);
   MatchState& ms = match_pool_[slot];

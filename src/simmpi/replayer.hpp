@@ -8,7 +8,8 @@
 //   * eager protocol for messages at or below the threshold (fire and
 //     forget), rendezvous (RTS -> CTS -> data, all through the network) above;
 //   * FIFO per-(source, destination, tag) matching with posted/unexpected
-//     handling, via per-stream sequence numbers;
+//     handling, via per-stream sequence numbers (counted per stream for app
+//     point-to-point, fixed at schedule expansion for collectives);
 //   * nonblocking operations with request completion and Wait/WaitAll;
 //   * collectives decomposed into point-to-point schedules (collectives.hpp)
 //     executed through the same network, so they create real contention.
@@ -185,7 +186,10 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
     int pending_app = 0;   // count of pending app (trace) requests
     int pending_coll = 0;  // count of pending collective requests
 
-    FlatMap<std::uint64_t, std::uint32_t, Mix64Hash> send_seq;  // (peer,tag) -> next seq
+    // App point-to-point only: (peer, tag) -> next seq. Collective sub-ops
+    // carry their own seq (SubOp::seq): each instance's tag is used once, so
+    // counting it here would only add keys that are never read again.
+    FlatMap<std::uint64_t, std::uint32_t, Mix64Hash> send_seq;
     FlatMap<std::uint64_t, std::uint32_t, Mix64Hash> recv_seq;
     // Collective / alltoallv instances per comm.
     FlatMap<std::uint64_t, std::uint32_t, Mix64Hash> coll_count;
@@ -206,9 +210,11 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   /// immediately (false: blocked or resumption already scheduled).
   bool exec_event(Rank r, RankState& st, const trace::Event& e);
 
-  void do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint64_t bytes, bool blocking,
+  /// Post the seq-th send to (dst, tag) / receive from (src, tag).
+  void do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint32_t seq,
+               std::uint64_t bytes, bool blocking, std::int64_t req);
+  void do_recv(Rank r, RankState& st, Rank src, Tag tag, std::uint32_t seq, bool blocking,
                std::int64_t req);
-  void do_recv(Rank r, RankState& st, Rank src, Tag tag, bool blocking, std::int64_t req);
   bool do_wait(Rank r, RankState& st, std::int64_t req);
   void begin_collective(Rank r, RankState& st, const trace::Event& e);
 

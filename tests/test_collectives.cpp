@@ -1,8 +1,8 @@
 // Tests for the collective-to-point-to-point decomposition: for every
 // algorithm and a sweep of communicator sizes, the per-rank schedules must
 // mutually match (every Isend has exactly one matching Recv in the same
-// round structure), be deadlock-free under blocking semantics, and move the
-// right amount of data.
+// round structure, carrying the same per-peer seq), be deadlock-free under
+// blocking semantics, and move the right amount of data.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -35,12 +35,15 @@ std::vector<std::vector<SubOp>> expand_all(OpType op, int n, std::uint64_t bytes
 /// Simulate blocking execution of the schedules; returns total bytes moved,
 /// asserts no deadlock and full consumption. This is an abstract executor:
 /// recv blocks until the matching isend was *issued* (sends are nonblocking).
+/// Messages pair FIFO per (sender, receiver), and the k-th Isend i->j must
+/// carry the same seq as the k-th Recv at j from i: the replayer matches on
+/// that seq alone.
 std::uint64_t execute(const std::vector<std::vector<SubOp>>& scheds) {
   const int n = static_cast<int>(scheds.size());
   std::vector<std::size_t> pc(static_cast<std::size_t>(n), 0);
   std::vector<int> outstanding(static_cast<std::size_t>(n), 0);
-  // sent[from][to] = queue of byte counts, FIFO.
-  std::map<std::pair<int, int>, std::queue<std::uint64_t>> sent;
+  // sent[from][to] = queue of (byte count, seq), FIFO.
+  std::map<std::pair<int, int>, std::queue<std::pair<std::uint64_t, std::uint16_t>>> sent;
   std::uint64_t total_bytes = 0;
 
   bool progress = true;
@@ -52,14 +55,16 @@ std::uint64_t execute(const std::vector<std::vector<SubOp>>& scheds) {
       while (cursor < sched.size()) {
         const SubOp& op = sched[cursor];
         if (op.kind == SubOp::Kind::kIsend) {
-          sent[{r, op.peer}].push(op.bytes);
+          sent[{r, op.peer}].push({op.bytes, op.seq});
           ++outstanding[static_cast<std::size_t>(r)];
           total_bytes += op.bytes;
         } else if (op.kind == SubOp::Kind::kRecv) {
           auto it = sent.find({op.peer, r});
           if (it == sent.end() || it->second.empty()) break;  // blocked
-          EXPECT_EQ(it->second.front(), op.bytes)
+          EXPECT_EQ(it->second.front().first, op.bytes)
               << "rank " << r << " expects " << op.bytes << " from " << op.peer;
+          EXPECT_EQ(it->second.front().second, op.seq)
+              << "rank " << r << " receive from " << op.peer << " has the wrong seq";
           it->second.pop();
         } else if (op.kind == SubOp::Kind::kWaitOne) {
           EXPECT_GT(outstanding[static_cast<std::size_t>(r)], 0);
@@ -223,6 +228,37 @@ TEST(Collectives, AlltoallvRespectsSizesAndSkipsEmptyPairs) {
   for (const auto& op : scheds[2])
     if (op.kind == SubOp::Kind::kIsend && op.bytes > 0) ++rank2_sends;
   EXPECT_EQ(rank2_sends, 0);
+}
+
+TEST(Collectives, RingSeqCountsPastOneByte) {
+  // n - 1 = 299 ring rounds send to the same right neighbour, so one peer
+  // gets more than 255 messages in a single schedule.
+  const int n = 300;
+  const auto scheds = expand_all(OpType::kAllgather, n, 64, 0);
+  EXPECT_EQ(execute(scheds), static_cast<std::uint64_t>(n) * (n - 1) * 64u);
+  int sends = 0, recvs = 0;
+  for (const auto& op : scheds[0]) {
+    if (op.kind == SubOp::Kind::kIsend) {
+      EXPECT_EQ(op.seq, sends++);
+    } else if (op.kind == SubOp::Kind::kRecv) {
+      EXPECT_EQ(op.seq, recvs++);
+    }
+  }
+  EXPECT_EQ(sends, n - 1);
+  EXPECT_EQ(recvs, n - 1);
+}
+
+TEST(Collectives, SeqFitsSixteenBitsOrTheCheckFails) {
+  CollectiveDesc d;
+  d.op = OpType::kAllgather;
+  d.me = 0;
+  d.bytes = 8;
+  std::vector<SubOp> out;
+  d.n = 65537;  // 65,536 ring sends to one peer: the largest seq is 65,535
+  expand_collective(d, {}, out);
+  EXPECT_EQ(out[out.size() - 3].seq, 65535);
+  d.n = 65538;
+  EXPECT_DEATH(expand_collective(d, {}, out), "65536 messages to one peer");
 }
 
 TEST(Collectives, DisseminationRounds) {

@@ -255,6 +255,52 @@ INSTANTIATE_TEST_SUITE_P(Models, ReplayerAllModels,
                            }
                          });
 
+// A long stream of back-to-back collectives whose sub-operations reach the
+// same peers as app-level nonblocking traffic running alongside them. Each
+// collective instance has a tag of its own, so matching must pair the k-th
+// message of an instance with the k-th receive of that instance whatever came
+// before it. The constants are the replay's results on every network model
+// as recorded when collectives still drew their sequence numbers from the
+// per-stream counters that app point-to-point uses.
+TEST(Replayer, LongCollectiveStreamWithInterleavedP2pIsPinned) {
+  constexpr Rank kRanks = 64;
+  constexpr int kInstances = 1024;
+  Trace t(meta(kRanks));
+  for (Rank r = 0; r < kRanks; ++r) {
+    RankBuilder b(t, r);
+    const Rank left = (r + kRanks - 1) % kRanks;
+    const Rank right = (r + 1) % kRanks;
+    for (int i = 0; i < kInstances; ++i) {
+      b.irecv(left, 512, 3, 0);
+      b.isend(right, 512, 3, 0);
+      if (i % 16 == 0)
+        b.alltoall(128, 0);
+      else if (i % 16 == 8)  // Rabenseifner, its larger chunks in rendezvous
+        b.allreduce(48 * KiB, 0);
+      else  // recursive doubling
+        b.allreduce(64, 0);
+      b.waitall(0);
+      b.compute(1000 + 37 * ((r * 7 + i) % 5));
+    }
+  }
+  trace::validate_or_throw(t);
+  const auto mi = instance(t);
+  struct Pin {
+    NetModelKind kind;
+    SimTime total_time;
+    std::uint64_t events_processed;
+    std::uint64_t packets;
+  };
+  for (const Pin& pin : {Pin{NetModelKind::kPacket, 29253160, 7463693, 1093632},
+                         Pin{NetModelKind::kFlow, 33142954, 2947971, 0},
+                         Pin{NetModelKind::kPacketFlow, 29493924, 4629464, 815104}}) {
+    const ReplayResult r = replay_trace(t, mi, pin.kind);
+    EXPECT_EQ(r.total_time, pin.total_time) << net_model_name(pin.kind);
+    EXPECT_EQ(r.engine.events_processed, pin.events_processed) << net_model_name(pin.kind);
+    EXPECT_EQ(r.net.packets, pin.packets) << net_model_name(pin.kind);
+  }
+}
+
 TEST(Replayer, SameNodeRanksUseLocalPath) {
   TraceMeta m = meta(2);
   m.ranks_per_node = 2;  // both ranks on one node

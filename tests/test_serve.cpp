@@ -1264,18 +1264,23 @@ TEST(ServeDaemon, InfeasibleDeadlineDegradesToMfactFallbackUncached) {
   DaemonFixture d(DaemonFixture::small());
   Client warm = Client::connect_unix(d.path);
   // Warm the measured-cost model so the feasibility triage has a prediction.
+  // Chaos: every message injected by the flow scheme of corpus spec 2 (189
+  // of them cross the network alone) stalls 2 ms inside the timed replay, so
+  // the measured cost of a full study is at least 0.378 s on any host.
   Request big = tiny_study(211, /*limit=*/6);
-  const auto warmed = warm.study(big);
+  const auto warmed = [&] {
+    FaultPlanGuard fault("site=flow,spec=2,scheme=flow,kind=delay,delay_ms=2");
+    return warm.study(big);
+  }();
   ASSERT_EQ(warmed.summary.status, Status::kOk);
-  if (warmed.summary.wall_seconds < 0.2)
-    GTEST_SKIP() << "study too fast (" << warmed.summary.wall_seconds
-                 << " s) to make any deadline infeasible";
+  ASSERT_GE(warmed.summary.wall_seconds, 0.378);
 
-  // A deadline a quarter of the measured full-study wall cannot fit the
-  // simulation schemes; the daemon must degrade to MFACT-only, tag the
-  // reply, and keep the degraded result out of the shared cache.
+  // A 100 ms deadline cannot fit the simulation schemes, even with the cost
+  // model's average diluted by the two degraded runs below; the daemon must
+  // degrade to MFACT-only, tag the reply, and keep the degraded result out
+  // of the shared cache.
   Request rushed = tiny_study(212, /*limit=*/6);
-  rushed.deadline_ms = static_cast<std::uint64_t>(warmed.summary.wall_seconds * 250);
+  rushed.deadline_ms = 100;
   const auto first = Client::connect_unix(d.path).study(rushed);
   ASSERT_EQ(first.summary.status, Status::kDegraded);
   EXPECT_TRUE(first.summary.mfact_fallback);

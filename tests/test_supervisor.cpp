@@ -282,16 +282,17 @@ TEST_F(SupervisorTest, InterruptFlagSkipsEverythingNotYetFinal) {
 
 // --- RLIMIT_AS containment --------------------------------------------------
 
-// ASan reserves terabytes of shadow address space, so RLIMIT_AS cannot be
-// meaningfully applied under it.
-#if defined(__SANITIZE_ADDRESS__)
-#define HPS_TEST_ASAN 1
+// ASan and TSan reserve terabytes of shadow address space, and TSan's own
+// allocator runs out of address space under the limit, so RLIMIT_AS cannot
+// be meaningfully applied under either.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HPS_TEST_NO_RLIMIT_AS 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define HPS_TEST_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HPS_TEST_NO_RLIMIT_AS 1
 #endif
 #endif
-#ifndef HPS_TEST_ASAN
+#ifndef HPS_TEST_NO_RLIMIT_AS
 TEST_F(SupervisorTest, RssLimitTurnsRunawayAllocIntoStructuredOom) {
   SupervisorOptions opts;
   opts.workers = 1;

@@ -149,6 +149,11 @@ struct TopoCase {
   std::unique_ptr<Topology> (*make)();
 };
 
+// Without a printer gtest dumps the raw bytes, which include the heap address
+// of the label's buffer; that dump ends up in the ctest name, so the names
+// would change on every rebuild.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.label; }
+
 class TopologyInvariants : public ::testing::TestWithParam<TopoCase> {};
 
 TEST_P(TopologyInvariants, RoutesUseValidLinksAndAreDeterministic) {
