@@ -5,7 +5,6 @@
 
 #include "robust/fault.hpp"
 #include "serve/spill.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hps::serve {
 
@@ -19,12 +18,10 @@ std::shared_ptr<const CachedResult> ResultCache::lookup(std::uint64_t key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
-    telemetry::Registry::global().counter("serve.cache_misses").add(1);
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
   ++hits_;
-  telemetry::Registry::global().counter("serve.cache_hits").add(1);
   return it->second->value;
 }
 
@@ -58,7 +55,6 @@ void ResultCache::spill_append_locked(std::uint64_t key, const CachedResult& r) 
     robust::fault_point(robust::FaultSite::kServeCacheSpill);
     writer_->append(key, r);
     ++spilled_;
-    telemetry::Registry::global().counter("serve.cache_spilled").add(1);
     // The append-only file accumulates replaced/evicted entries; compact it
     // once it clearly outgrows what the live set could occupy.
     if (writer_->file_bytes() > 2 * static_cast<std::uint64_t>(budget_) + 64)
@@ -151,7 +147,6 @@ void ResultCache::evict_to_budget_locked() {
     index_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
-    telemetry::Registry::global().counter("serve.cache_evictions").add(1);
   }
 }
 

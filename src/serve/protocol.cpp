@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "common/bytes.hpp"
@@ -127,29 +128,57 @@ Summary decode_summary(const std::string& payload) {
   return s;
 }
 
+namespace {
+
+/// One Stats counter: its JSON name, its member, and the protocol version
+/// that appended it to the wire layout.
+struct StatsField {
+  const char* name;
+  std::uint64_t Stats::*member;
+  std::uint32_t since;
+};
+
+/// Every Stats counter in wire order (which is also JSON order). Newer
+/// versions only append, so a decoder reads the prefix its peer's version
+/// knows and leaves the rest defaulted.
+constexpr StatsField kStatsFields[] = {
+    {"requests", &Stats::requests, 1},
+    {"studies_run", &Stats::studies_run, 1},
+    {"cache_hits", &Stats::cache_hits, 1},
+    {"cache_misses", &Stats::cache_misses, 1},
+    {"cache_bytes", &Stats::cache_bytes, 1},
+    {"cache_entries", &Stats::cache_entries, 1},
+    {"cache_evictions", &Stats::cache_evictions, 1},
+    {"coalesced", &Stats::coalesced, 1},
+    {"rejected_queue_full", &Stats::rejected_queue_full, 1},
+    {"rejected_draining", &Stats::rejected_draining, 1},
+    {"rejected_bad", &Stats::rejected_bad, 1},
+    {"rejected_conn_limit", &Stats::rejected_conn_limit, 1},
+    {"active", &Stats::active, 1},
+    {"queued", &Stats::queued, 1},
+    {"uptime_ms", &Stats::uptime_ms, 2},
+    {"ledger_records", &Stats::ledger_records, 2},
+    {"spans_dropped", &Stats::spans_dropped, 2},
+    {"rejected_expired", &Stats::rejected_expired, 3},
+    {"shed_queue_delay", &Stats::shed_queue_delay, 3},
+    {"degraded_fallback", &Stats::degraded_fallback, 3},
+    {"rejected_slow_read", &Stats::rejected_slow_read, 3},
+    {"ledger_write_errors", &Stats::ledger_write_errors, 3},
+    {"cache_spilled", &Stats::cache_spilled, 4},
+    {"cache_recovered", &Stats::cache_recovered, 4},
+    {"cache_quarantined", &Stats::cache_quarantined, 4},
+    {"cache_recovery_ms", &Stats::cache_recovery_ms, 4},
+    {"cache_scrub_passes", &Stats::cache_scrub_passes, 4},
+    {"cache_scrub_corrupt", &Stats::cache_scrub_corrupt, 4},
+};
+
+}  // namespace
+
 std::string encode_stats(const Stats& s) {
   std::string out;
-  out.reserve(16 + 17 * 8);
+  out.reserve(4 + 8 * std::size(kStatsFields));
   put_u32(out, kProtocolVersion);
-  for (const std::uint64_t v :
-       {s.requests, s.studies_run, s.cache_hits, s.cache_misses, s.cache_bytes,
-        s.cache_entries, s.cache_evictions, s.coalesced, s.rejected_queue_full,
-        s.rejected_draining, s.rejected_bad, s.rejected_conn_limit, s.active,
-        s.queued})
-    put_u64(out, v);
-  // v2 extension: appended so a v1 decoder's fixed prefix is untouched.
-  for (const std::uint64_t v : {s.uptime_ms, s.ledger_records, s.spans_dropped})
-    put_u64(out, v);
-  // v3 extension: overload counters, appended after the v2 layout.
-  for (const std::uint64_t v :
-       {s.rejected_expired, s.shed_queue_delay, s.degraded_fallback,
-        s.rejected_slow_read, s.ledger_write_errors})
-    put_u64(out, v);
-  // v4 extension: durable-cache counters, appended after the v3 layout.
-  for (const std::uint64_t v :
-       {s.cache_spilled, s.cache_recovered, s.cache_quarantined,
-        s.cache_recovery_ms, s.cache_scrub_passes, s.cache_scrub_corrupt})
-    put_u64(out, v);
+  for (const StatsField& f : kStatsFields) put_u64(out, s.*f.member);
   return out;
 }
 
@@ -157,54 +186,20 @@ Stats decode_stats(const std::string& payload) {
   ByteReader rd(payload, kPayloadLabel, kMaxRequestBytes);
   const std::uint32_t version = check_version(rd.u32(), "stats");
   Stats s;
-  for (std::uint64_t* v :
-       {&s.requests, &s.studies_run, &s.cache_hits, &s.cache_misses, &s.cache_bytes,
-        &s.cache_entries, &s.cache_evictions, &s.coalesced, &s.rejected_queue_full,
-        &s.rejected_draining, &s.rejected_bad, &s.rejected_conn_limit, &s.active,
-        &s.queued})
-    *v = rd.u64();
-  if (version >= 2)
-    for (std::uint64_t* v : {&s.uptime_ms, &s.ledger_records, &s.spans_dropped}) *v = rd.u64();
-  if (version >= 3)
-    for (std::uint64_t* v :
-         {&s.rejected_expired, &s.shed_queue_delay, &s.degraded_fallback,
-          &s.rejected_slow_read, &s.ledger_write_errors})
-      *v = rd.u64();
-  if (version >= 4)
-    for (std::uint64_t* v :
-         {&s.cache_spilled, &s.cache_recovered, &s.cache_quarantined,
-          &s.cache_recovery_ms, &s.cache_scrub_passes, &s.cache_scrub_corrupt})
-      *v = rd.u64();
+  for (const StatsField& f : kStatsFields)
+    if (version >= f.since) s.*f.member = rd.u64();
   rd.done();
   return s;
 }
 
 std::string stats_to_json(const Stats& s) {
   std::ostringstream os;
-  os << "{\"requests\":" << s.requests << ",\"studies_run\":" << s.studies_run
-     << ",\"cache_hits\":" << s.cache_hits << ",\"cache_misses\":" << s.cache_misses
-     << ",\"cache_bytes\":" << s.cache_bytes << ",\"cache_entries\":" << s.cache_entries
-     << ",\"cache_evictions\":" << s.cache_evictions << ",\"coalesced\":" << s.coalesced
-     << ",\"rejected_queue_full\":" << s.rejected_queue_full
-     << ",\"rejected_draining\":" << s.rejected_draining
-     << ",\"rejected_bad\":" << s.rejected_bad
-     << ",\"rejected_conn_limit\":" << s.rejected_conn_limit
-     << ",\"active\":" << s.active
-     << ",\"queued\":" << s.queued
-     << ",\"uptime_ms\":" << s.uptime_ms
-     << ",\"ledger_records\":" << s.ledger_records
-     << ",\"spans_dropped\":" << s.spans_dropped
-     << ",\"rejected_expired\":" << s.rejected_expired
-     << ",\"shed_queue_delay\":" << s.shed_queue_delay
-     << ",\"degraded_fallback\":" << s.degraded_fallback
-     << ",\"rejected_slow_read\":" << s.rejected_slow_read
-     << ",\"ledger_write_errors\":" << s.ledger_write_errors
-     << ",\"cache_spilled\":" << s.cache_spilled
-     << ",\"cache_recovered\":" << s.cache_recovered
-     << ",\"cache_quarantined\":" << s.cache_quarantined
-     << ",\"cache_recovery_ms\":" << s.cache_recovery_ms
-     << ",\"cache_scrub_passes\":" << s.cache_scrub_passes
-     << ",\"cache_scrub_corrupt\":" << s.cache_scrub_corrupt << "}";
+  char sep = '{';
+  for (const StatsField& f : kStatsFields) {
+    os << sep << '"' << f.name << "\":" << s.*f.member;
+    sep = ',';
+  }
+  os << '}';
   return os.str();
 }
 

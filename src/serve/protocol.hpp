@@ -107,7 +107,9 @@ struct Summary {
   bool mfact_fallback = false;
 };
 
-/// Payload of kStatsReply: the daemon's cumulative counters.
+/// Payload of kStatsReply: the daemon's cumulative counters. Their wire and
+/// JSON order is the kStatsFields table in protocol.cpp; a new counter is
+/// one member here and one line there.
 struct Stats {
   std::uint64_t requests = 0;          ///< study requests admitted or rejected
   std::uint64_t studies_run = 0;       ///< actual computations dispatched

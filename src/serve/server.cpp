@@ -141,14 +141,8 @@ bool send_msg(int fd, ipc::MsgType type, std::string payload) {
 }
 
 /// min-with-ceiling for budget clamps: 0 means unlimited on both sides.
-double clamp_budget(double requested, double ceiling) {
-  if (ceiling <= 0) return requested;
-  if (requested <= 0) return ceiling;
-  return std::min(requested, ceiling);
-}
-
 template <typename T>
-T clamp_budget_int(T requested, T ceiling) {
+T clamp_budget(T requested, T ceiling) {
   if (ceiling <= 0) return requested;
   if (requested <= 0) return ceiling;
   return std::min(requested, ceiling);
@@ -168,11 +162,16 @@ std::string app_class_summary(const std::vector<core::TraceOutcome>& outcomes) {
   return joined;
 }
 
-/// The serve-phase names, in serving order (pre-registered so a metrics
-/// scrape before the first request already shows every family).
-constexpr const char* kPhaseNames[] = {"decode",        "clamp",   "cache_lookup",
-                                       "queue_wait",    "execute", "cache_insert",
-                                       "coalesce_wait", "stream"};
+/// The serve phases, in serving order. Their histograms are registered
+/// once, up front, so a metrics scrape before the first request already
+/// shows every family.
+enum PhaseId : std::uint8_t {
+  kDecode, kClamp, kCacheLookup, kQueueWait, kExecute, kCacheInsert, kCoalesceWait, kStream,
+  kNumPhases
+};
+constexpr const char* kPhaseNames[kNumPhases] = {"decode",        "clamp",   "cache_lookup",
+                                                 "queue_wait",    "execute", "cache_insert",
+                                                 "coalesce_wait", "stream"};
 
 }  // namespace
 
@@ -180,25 +179,28 @@ constexpr const char* kPhaseNames[] = {"decode",        "clamp",   "cache_lookup
 /// observability clock, so per-phase durations sum exactly to the request's
 /// total latency.
 struct Server::RequestTimer {
+  struct Tile {
+    PhaseId id;
+    std::int64_t start_ns;
+    std::int64_t dur_ns;
+  };
   Server& srv;
   std::uint64_t trace_id = 0;
   std::int64_t start_ns = 0;
   std::int64_t last_ns = 0;
-  std::vector<std::pair<std::string, std::int64_t>> phases;  ///< (name, wall ns)
-  std::vector<std::int64_t> starts;  ///< phase start stamps, parallel to phases
+  std::vector<Tile> phases;
 
   RequestTimer(Server& s, std::int64_t recv_ns)
       : srv(s), start_ns(recv_ns), last_ns(recv_ns) {}
 
   /// Close the phase that started at the previous boundary, ending now.
-  void phase(const char* name) { phase_until(name, srv.obs_.now_ns()); }
+  void phase(PhaseId id) { phase_until(id, srv.obs_.now_ns()); }
 
   /// Close the phase at an externally measured boundary (the dispatcher's
   /// stamps). Clamped monotonic so a cross-thread stamp can't go backwards.
-  void phase_until(const char* name, std::int64_t boundary_ns) {
+  void phase_until(PhaseId id, std::int64_t boundary_ns) {
     if (boundary_ns < last_ns) boundary_ns = last_ns;
-    phases.emplace_back(name, boundary_ns - last_ns);
-    starts.push_back(last_ns);
+    phases.push_back({id, last_ns, boundary_ns - last_ns});
     last_ns = boundary_ns;
   }
 };
@@ -233,8 +235,9 @@ Server::Server(ServerOptions opts)
   obs_.set_enabled(true);
   obs_.set_tracing(!opts_.trace_path.empty());
   for (const char* p : kPhaseNames)
-    obs_.histogram(std::string(kPhaseMetricPrefix) + p, telemetry::latency_bounds());
-  obs_.histogram(kRequestMetric, telemetry::latency_bounds());
+    phase_hists_.push_back(
+        obs_.histogram(std::string(kPhaseMetricPrefix) + p, telemetry::latency_bounds()));
+  request_hist_ = obs_.histogram(kRequestMetric, telemetry::latency_bounds());
   if (!opts_.serve_ledger_path.empty())
     ledger_ = std::make_unique<obs::ServeLedgerWriter>(opts_.serve_ledger_path);
   // Warm restart: recover the spill file before the listeners exist, so a
@@ -301,9 +304,9 @@ core::StudyOptions Server::study_options(const Request& req) const {
   so.run.budget.wall_deadline_seconds =
       clamp_budget(req.wall_deadline_s, opts_.max_wall_deadline_s);
   so.run.budget.max_des_events =
-      clamp_budget_int<std::uint64_t>(req.max_des_events, opts_.max_des_events);
+      clamp_budget(req.max_des_events, opts_.max_des_events);
   so.run.budget.virtual_horizon =
-      clamp_budget_int<std::int64_t>(req.virtual_horizon_ns, opts_.max_virtual_horizon_ns);
+      clamp_budget(req.virtual_horizon_ns, opts_.max_virtual_horizon_ns);
   // No file-backed cache/ledger/journal: the daemon's shared in-memory cache
   // is the durability story per request, and the client gets the ledger.
   return so;
@@ -327,15 +330,6 @@ void Server::dispatcher_loop() {
     if (popped == Queue::Pop::kClosed) break;
     const std::int64_t popped_ns = obs_.now_ns();
 
-    // Retire the single-flight slot (only if it is still ours: a
-    // force-recompute may have replaced it). Every exit from this iteration
-    // must retire — an expired or shed job left in the map would pin its
-    // coalesced waiters to a computation that will never happen.
-    const auto retire = [&] {
-      std::lock_guard<std::mutex> lk(inflight_mu_);
-      const auto it = inflight_.find(job->key);
-      if (it != inflight_.end() && it->second == job) inflight_.erase(it);
-    };
     const auto stamp = [&](std::int64_t run_done) {
       // Phase boundaries for the owner's queue_wait/execute/cache_insert
       // tiling; published under mu before done flips in complete().
@@ -345,10 +339,12 @@ void Server::dispatcher_loop() {
       job->done_ns = obs_.now_ns();
     };
 
+    // Every exit from this iteration must retire the job — an expired or
+    // shed job left in the single-flight map would pin its coalesced waiters
+    // to a computation that will never happen.
     if (popped == Queue::Pop::kExpired) {
-      retire();
+      retire(job);
       rejected_expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::Registry::global().counter("serve.rejected_expired").add(1);
       stamp(popped_ns);
       job->complete(Status::kExpired, nullptr,
                     "end-to-end deadline expired while queued");
@@ -356,8 +352,7 @@ void Server::dispatcher_loop() {
       continue;
     }
     if (popped == Queue::Pop::kShed) {
-      retire();
-      telemetry::Registry::global().counter("serve.shed_queue_delay").add(1);
+      retire(job);
       stamp(popped_ns);
       // Shed reads as backpressure on the wire: the client's retry policy
       // for kQueueFull (jittered backoff) is exactly right for overload.
@@ -434,7 +429,6 @@ void Server::dispatcher_loop() {
           if (job->fallback) {
             detail = "degraded=mfact_fallback";
             fallback_.fetch_add(1, std::memory_order_relaxed);
-            telemetry::Registry::global().counter("serve.degraded_fallback").add(1);
           }
           cached = built;
           // Cacheability: a fallback answer must never mask the real one,
@@ -451,7 +445,6 @@ void Server::dispatcher_loop() {
             }
           }
           studies_run_.fetch_add(1, std::memory_order_relaxed);
-          telemetry::Registry::global().counter("serve.studies_run").add(1);
         }
       }
     } catch (const std::exception& e) {
@@ -465,14 +458,19 @@ void Server::dispatcher_loop() {
       status = Status::kExpired;
       detail = "end-to-end deadline expired before execution";
       rejected_expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::Registry::global().counter("serve.rejected_expired").add(1);
     }
-    retire();
+    retire(job);
     stamp(run_done_ns);
     job->complete(status, std::move(cached), std::move(detail));
     active_.fetch_sub(1, std::memory_order_relaxed);
     job.reset();
   }
+}
+
+void Server::retire(const std::shared_ptr<InFlight>& job) {
+  std::lock_guard<std::mutex> lk(inflight_mu_);
+  const auto it = inflight_.find(job->key);
+  if (it != inflight_.end() && it->second == job) inflight_.erase(it);
 }
 
 bool Server::send_reject(int fd, Status status, const std::string& detail) {
@@ -498,11 +496,10 @@ bool Server::stream_result(int fd, const CachedResult& result, bool cache_hit) {
 
 bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::Registry::global().counter("serve.requests").add(1);
 
   RequestTimer timer(*this, recv_ns);
   timer.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  timer.phase("decode");
+  timer.phase(kDecode);
 
   // End-to-end deadline, stamped on the queue's steady clock at decode so
   // every later stage — queue wait included — is charged against it.
@@ -517,11 +514,11 @@ bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
   // study_cache_key: tracing must never change what is computed or cached.
   so.trace_id = timer.trace_id;
   std::uint64_t key = core::study_cache_key(so);
-  timer.phase("clamp");
+  timer.phase(kClamp);
 
   if (!req.force_recompute) {
     if (const auto hit = cache_.lookup(key)) {
-      timer.phase("cache_lookup");
+      timer.phase(kCacheLookup);
       const bool ok = stream_result(fd, *hit, true);
       finish_request(timer, req, hit->status, /*cache_hit=*/true, /*coalesced=*/false,
                      static_cast<std::uint32_t>(hit->records.size()), hit->degraded,
@@ -567,18 +564,14 @@ bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
       owner = true;
     }
   }
-  timer.phase("cache_lookup");
+  timer.phase(kCacheLookup);
 
   if (owner) {
     switch (queue_.try_push(job, job->deadline_ns, job->cls)) {
       case AdmissionQueue<std::shared_ptr<InFlight>>::Push::kAccepted:
         break;
       case AdmissionQueue<std::shared_ptr<InFlight>>::Push::kFull: {
-        {
-          std::lock_guard<std::mutex> lk(inflight_mu_);
-          const auto it = inflight_.find(key);
-          if (it != inflight_.end() && it->second == job) inflight_.erase(it);
-        }
+        retire(job);
         // The job was registered before the push, so an identical request
         // may already be attached: it will never be dispatched — complete
         // it now so every waiter wakes with the same rejection.
@@ -586,7 +579,6 @@ bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
                                    std::to_string(queue_.capacity()) + ")";
         job->complete(Status::kQueueFull, nullptr, detail);
         rejected_full_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::Registry::global().counter("serve.rejected_queue_full").add(1);
         // Explicit backpressure: the client knows immediately and may retry
         // with jitter; nothing server-side was spent on the study.
         const bool ok = send_reject(fd, Status::kQueueFull, detail);
@@ -594,11 +586,7 @@ bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
         return ok;
       }
       case AdmissionQueue<std::shared_ptr<InFlight>>::Push::kClosed: {
-        {
-          std::lock_guard<std::mutex> lk(inflight_mu_);
-          const auto it = inflight_.find(key);
-          if (it != inflight_.end() && it->second == job) inflight_.erase(it);
-        }
+        retire(job);
         job->complete(Status::kDraining, nullptr, "daemon is draining");
         rejected_draining_.fetch_add(1, std::memory_order_relaxed);
         const bool ok = send_reject(fd, Status::kDraining, "daemon is draining");
@@ -625,15 +613,15 @@ bool Server::handle_study(int fd, const Request& req, std::int64_t recv_ns) {
   }
   if (owner) {
     if (popped_ns > 0) {
-      timer.phase_until("queue_wait", popped_ns);
-      timer.phase_until("execute", run_done_ns);
-      timer.phase_until("cache_insert", done_ns);
+      timer.phase_until(kQueueWait, popped_ns);
+      timer.phase_until(kExecute, run_done_ns);
+      timer.phase_until(kCacheInsert, done_ns);
     } else {
       // Completed without ever being dispatched (drain raced the pop).
-      timer.phase("queue_wait");
+      timer.phase(kQueueWait);
     }
   } else {
-    timer.phase("coalesce_wait");
+    timer.phase(kCoalesceWait);
   }
 
   bool ok;
@@ -669,14 +657,13 @@ void Server::finish_request(RequestTimer& t, const Request& req, Status status,
                             bool cache_hit, bool coalesced, std::uint32_t records,
                             std::uint32_t degraded, const std::string& app_classes,
                             bool mfact_fallback) {
-  t.phase("stream");
+  t.phase(kStream);
   const std::int64_t total_ns = t.last_ns - t.start_ns;
   const double total_s = static_cast<double>(total_ns) * 1e-9;
 
-  obs_.histogram(kRequestMetric, telemetry::latency_bounds()).observe(total_s);
-  for (const auto& [name, dur_ns] : t.phases)
-    obs_.histogram(kPhaseMetricPrefix + name, telemetry::latency_bounds())
-        .observe(static_cast<double>(dur_ns) * 1e-9);
+  request_hist_.observe(total_s);
+  for (const RequestTimer::Tile& p : t.phases)
+    phase_hists_[p.id].observe(static_cast<double>(p.dur_ns) * 1e-9);
   // Per-trace-class latency: a request whose study spans several classes
   // counts toward each ("how slow are requests touching class X").
   for (std::size_t pos = 0; pos < app_classes.size();) {
@@ -703,13 +690,13 @@ void Server::finish_request(RequestTimer& t, const Request& req, Status status,
                   {"cache_hit", cache_hit ? "true" : "false"},
                   {"coalesced", coalesced ? "true" : "false"}};
     obs_.record_span(std::move(whole));
-    for (std::size_t i = 0; i < t.phases.size(); ++i) {
+    for (const RequestTimer::Tile& tile : t.phases) {
       telemetry::SpanRecord p;
-      p.name = t.phases[i].first;
+      p.name = kPhaseNames[tile.id];
       p.cat = "serve.phase";
       p.trace_id = t.trace_id;
-      p.start_ns = t.starts[i];
-      p.dur_ns = t.phases[i].second;
+      p.start_ns = tile.start_ns;
+      p.dur_ns = tile.dur_ns;
       obs_.record_span(std::move(p));
     }
   }
@@ -729,7 +716,9 @@ void Server::finish_request(RequestTimer& t, const Request& req, Status status,
     rec.total_ns = total_ns;
     rec.mfact_fallback = mfact_fallback;
     rec.deadline_ms = req.deadline_ms;
-    rec.phases = t.phases;
+    rec.phases.reserve(t.phases.size());
+    for (const RequestTimer::Tile& p : t.phases)
+      rec.phases.emplace_back(kPhaseNames[p.id], p.dur_ns);
     try {
       robust::fault_point(robust::FaultSite::kServeLedgerAppend);
       ledger_->append(rec);
@@ -785,7 +774,7 @@ bool Server::handle_request(int fd, bool trusted, const ipc::Message& m) {
         rejected_draining_.fetch_add(1, std::memory_order_relaxed);
         RequestTimer timer(*this, recv_ns);
         timer.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-        timer.phase("decode");
+        timer.phase(kDecode);
         const bool ok = send_reject(fd, Status::kDraining, "daemon is draining");
         finish_request(timer, req, Status::kDraining, false, false, 0, 0, {});
         return ok;
@@ -813,7 +802,6 @@ void Server::handle_connection(int fd, bool trusted) {
   };
   const auto reject_slow_read = [&] {
     rejected_slow_read_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::Registry::global().counter("serve.rejected_slow_read").add(1);
     send_reject(fd, Status::kBadRequest,
                 "slow read: partial request frame held past the cap");
   };
@@ -853,7 +841,6 @@ void Server::handle_connection(int fd, bool trusted) {
         // Torn, poisoned, or abusive framing: one explicit reject, then the
         // stream is dead (framing has no resync point).
         rejected_bad_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::Registry::global().counter("serve.rejected_bad").add(1);
         const bool oversized =
             std::strcmp(dec.corrupt_reason(), "oversized frame") == 0;
         send_reject(fd, oversized ? Status::kOversized : Status::kBadRequest,
@@ -952,7 +939,6 @@ void Server::run() {
         // means unbounded threads. The reject frame is tiny (fits any fresh
         // socket buffer), so this cannot stall the accept loop.
         rejected_conn_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::Registry::global().counter("serve.rejected_conn_limit").add(1);
         send_reject(cfd, Status::kQueueFull,
                     "connection limit (" +
                         std::to_string(opts_.max_connections) + ")");

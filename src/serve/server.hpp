@@ -186,6 +186,9 @@ class Server {
   bool handle_study(int fd, const Request& req, std::int64_t recv_ns);
   bool stream_result(int fd, const CachedResult& result, bool cache_hit);
   bool send_reject(int fd, Status status, const std::string& detail);
+  /// Erases job's single-flight slot if it still holds job (a
+  /// force-recompute may have replaced it).
+  void retire(const std::shared_ptr<InFlight>& job);
   core::StudyOptions study_options(const Request& req) const;
   bool draining() const;
   /// Measured mean wall cost of one full (all-schemes) study, from the
@@ -233,6 +236,8 @@ class Server {
   // one), so serving-path histograms and spans cannot perturb the study hot
   // path or leak into a study's own telemetry exports.
   telemetry::Registry obs_;
+  telemetry::Histogram request_hist_;
+  std::vector<telemetry::Histogram> phase_hists_;  ///< indexed by phase, serving order
   std::atomic<std::uint64_t> next_trace_id_{1};
   obs::CostModel costs_;
   std::unique_ptr<obs::ServeLedgerWriter> ledger_;

@@ -92,19 +92,41 @@ struct Registry::Shard {
   const std::uint32_t tid;
 };
 
+/// Shards whose threads have exited, waiting for the registry's next new
+/// thread. Shared with every thread holding one of the registry's shards, so
+/// a thread that exits after the registry is gone touches only this.
+struct Registry::FreeShards {
+  std::mutex mu;
+  std::vector<Shard*> shards;
+};
+
 namespace {
 struct TlsEntry {
   std::uint64_t registry_id;
   Registry::Shard* shard;
+  std::weak_ptr<Registry::FreeShards> free;
 };
 /// Shards this thread has joined, keyed by registry id. Registries get
 /// unique ids, so an entry for a destroyed registry can never be matched
-/// (and its dangling pointer never dereferenced).
-thread_local std::vector<TlsEntry> tls_shards;
+/// (and its dangling pointer never dereferenced). On thread exit each shard
+/// goes back to its registry's free list, values kept, if the registry is
+/// still alive.
+struct TlsShards {
+  std::vector<TlsEntry> entries;
+  ~TlsShards() {
+    for (const TlsEntry& e : entries)
+      if (const auto pool = e.free.lock()) {
+        const std::lock_guard<std::mutex> lk(pool->mu);
+        pool->shards.push_back(e.shard);
+      }
+  }
+};
+thread_local TlsShards tls_shards;
 }  // namespace
 
 Registry::Registry()
-    : span_capacity_(kDefaultSpanCapacity),
+    : free_(std::make_shared<FreeShards>()),
+      span_capacity_(kDefaultSpanCapacity),
       id_(next_registry_id()),
       epoch_(std::chrono::steady_clock::now()) {}
 
@@ -122,12 +144,22 @@ std::int64_t Registry::now_ns() const {
 }
 
 Registry::Shard& Registry::local_shard() {
-  for (const TlsEntry& e : tls_shards)
+  for (const TlsEntry& e : tls_shards.entries)
     if (e.registry_id == id_) return *e.shard;
-  const std::lock_guard<std::mutex> lk(mu_);
-  shards_.push_back(std::make_unique<Shard>(static_cast<std::uint32_t>(shards_.size())));
-  Shard* s = shards_.back().get();
-  tls_shards.push_back({id_, s});
+  Shard* s = nullptr;
+  {
+    const std::lock_guard<std::mutex> lk(free_->mu);
+    if (!free_->shards.empty()) {
+      s = free_->shards.back();
+      free_->shards.pop_back();
+    }
+  }
+  if (s == nullptr) {
+    const std::lock_guard<std::mutex> lk(mu_);
+    shards_.push_back(std::make_unique<Shard>(static_cast<std::uint32_t>(shards_.size())));
+    s = shards_.back().get();
+  }
+  tls_shards.entries.push_back({id_, s, free_});
   return *s;
 }
 

@@ -6,7 +6,9 @@
 // disabled — the default — every update is a single relaxed-load branch.
 // When enabled, updates go to a per-thread shard that only its owning thread
 // writes, so worker threads never contend on a shared cache line; the
-// exporting thread merges all shards on snapshot().
+// exporting thread merges all shards on snapshot(). When a thread exits, its
+// shard (values kept) passes to the registry's next new thread, so storage
+// tracks peak concurrency, not the number of threads ever seen.
 //
 // Spans are RAII scoped regions feeding a Chrome trace_event timeline
 // (export.hpp renders them for chrome://tracing / Perfetto). Tracing is a
@@ -157,9 +159,11 @@ class Histogram {
 
 class Registry {
  public:
-  /// Per-thread storage; defined in the .cpp (public name so the
-  /// implementation's thread-local bookkeeping can refer to it).
+  /// Per-thread storage and the list of shards freed by exited threads;
+  /// defined in the .cpp (public names so the implementation's thread-local
+  /// bookkeeping can refer to them).
   struct Shard;
+  struct FreeShards;
 
   Registry();
   ~Registry();
@@ -236,6 +240,7 @@ class Registry {
   std::vector<std::unique_ptr<MetricDef>> defs_;  // unique_ptr: stable addresses
   std::unordered_map<std::string, MetricDef*> by_name_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  const std::shared_ptr<FreeShards> free_;  // shards_ entries no thread holds
   std::uint32_t next_slot_ = 0;
   std::atomic<std::size_t> span_capacity_;
   std::atomic<bool> enabled_{false};

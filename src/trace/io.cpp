@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <ostream>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -12,7 +14,6 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'S', 'T'};
 // Sanity bounds: a hostile or corrupt header must not drive allocations.
-constexpr std::uint64_t kMaxRanks = 1 << 20;
 constexpr std::uint64_t kMaxEventsPerRank = 1ULL << 32;
 constexpr std::uint64_t kMaxString = 1 << 16;
 
@@ -22,28 +23,74 @@ void put(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-template <typename T>
-T get(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  HPS_REQUIRE(static_cast<bool>(is), "trace stream truncated");
-  return v;
-}
-
 void put_string(std::ostream& os, const std::string& s) {
   put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string get_string(std::istream& is) {
-  const auto n = get<std::uint32_t>(is);
-  HPS_REQUIRE(n <= kMaxString, "trace string field too large");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  HPS_REQUIRE(static_cast<bool>(is), "trace stream truncated in string");
-  return s;
+/// Bytes from the read position to the end of the stream; the largest count
+/// when the stream cannot seek (then only the stream itself can say it ran
+/// out).
+std::uint64_t bytes_left(std::istream& is) {
+  constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return kUnknown;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return kUnknown;
+  return static_cast<std::uint64_t>(end - here);
 }
+
+/// Reads the binary layout without trusting any count beyond the bytes the
+/// stream has left: a corrupt or hostile count fails as truncated before
+/// anything is sized by it.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is), left_(bytes_left(is)) {}
+
+  template <typename T>
+  T get() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    read(&v, sizeof v, "trace stream truncated");
+    return v;
+  }
+
+  std::string str() {
+    const auto n = get<std::uint32_t>();
+    HPS_REQUIRE(n <= kMaxString, "trace string field too large");
+    room(n, 1, "trace stream truncated in string");
+    std::string s(n, '\0');
+    read(s.data(), n, "trace stream truncated in string");
+    return s;
+  }
+
+  /// n values into v: one resize, one read.
+  template <typename T>
+  void array(std::vector<T>& v, std::uint64_t n, const char* truncated) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    room(n, sizeof(T), truncated);
+    v.resize(n);
+    read(v.data(), n * sizeof(T), truncated);
+  }
+
+  /// Fails as truncated unless n records of at least `bytes` each still fit.
+  void room(std::uint64_t n, std::uint64_t bytes, const char* truncated) const {
+    HPS_REQUIRE(n <= left_ / bytes, truncated);
+  }
+
+ private:
+  void read(void* dst, std::uint64_t n, const char* truncated) {
+    room(n, 1, truncated);
+    is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    HPS_REQUIRE(static_cast<bool>(is_), truncated);
+    left_ -= n;
+  }
+
+  std::istream& is_;
+  std::uint64_t left_;
+};
 
 }  // namespace
 
@@ -87,54 +134,54 @@ Trace read_binary(std::istream& is) {
   is.read(magic, 4);
   HPS_REQUIRE(static_cast<bool>(is) && std::memcmp(magic, kMagic, 4) == 0,
               "not a HPST trace stream");
-  const auto version = get<std::uint32_t>(is);
+  Reader rd(is);
+  const auto version = rd.get<std::uint32_t>();
   HPS_REQUIRE(version == kTraceFormatVersion, "unsupported trace format version");
 
   TraceMeta m;
-  m.app = get_string(is);
-  m.variant = get_string(is);
-  m.machine = get_string(is);
-  m.nranks = get<std::int32_t>(is);
-  m.ranks_per_node = get<std::int32_t>(is);
-  m.seed = get<std::uint64_t>(is);
-  HPS_REQUIRE(m.nranks > 0 && static_cast<std::uint64_t>(m.nranks) <= kMaxRanks,
+  m.app = rd.str();
+  m.variant = rd.str();
+  m.machine = rd.str();
+  m.nranks = rd.get<std::int32_t>();
+  m.ranks_per_node = rd.get<std::int32_t>();
+  m.seed = rd.get<std::uint64_t>();
+  HPS_REQUIRE(m.nranks > 0 && m.nranks <= kMaxRanks,
               "trace rank count out of range");
   HPS_REQUIRE(m.ranks_per_node > 0, "trace ranks_per_node out of range");
+  // Every rank carries at least its event and vlist counts.
+  rd.room(static_cast<std::uint64_t>(m.nranks), sizeof(std::uint64_t) + sizeof(std::uint32_t),
+          "trace stream truncated");
 
   Trace t(std::move(m));
 
-  const auto ncomms = get<std::uint32_t>(is);
-  HPS_REQUIRE(ncomms >= 1 && ncomms <= kMaxRanks, "trace comm count out of range");
+  const auto ncomms = rd.get<std::uint32_t>();
+  HPS_REQUIRE(ncomms >= 1 && ncomms <= static_cast<std::uint32_t>(kMaxRanks),
+              "trace comm count out of range");
+  std::vector<Rank> members;
   for (std::uint32_t c = 0; c < ncomms; ++c) {
-    const auto sz = get<std::uint32_t>(is);
+    const auto sz = rd.get<std::uint32_t>();
     HPS_REQUIRE(sz >= 1 && sz <= static_cast<std::uint32_t>(t.nranks()),
                 "trace comm size out of range");
-    std::vector<Rank> members(sz);
-    is.read(reinterpret_cast<char*>(members.data()),
-            static_cast<std::streamsize>(sz * sizeof(Rank)));
-    HPS_REQUIRE(static_cast<bool>(is), "trace stream truncated in comm");
+    rd.array(members, sz, "trace stream truncated in comm");
     if (c == 0) continue;  // world was created by the Trace constructor
-    t.add_comm(std::move(members));
+    for (const Rank r : members)
+      HPS_REQUIRE(r >= 0 && r < t.nranks(), "trace comm member out of range");
+    t.add_comm(members);
   }
 
   for (Rank r = 0; r < t.nranks(); ++r) {
     auto& rt = t.rank(r);
-    const auto nev = get<std::uint64_t>(is);
+    const auto nev = rd.get<std::uint64_t>();
     HPS_REQUIRE(nev <= kMaxEventsPerRank, "trace event count out of range");
-    rt.events.resize(nev);
-    is.read(reinterpret_cast<char*>(rt.events.data()),
-            static_cast<std::streamsize>(nev * sizeof(Event)));
-    HPS_REQUIRE(static_cast<bool>(is), "trace stream truncated in events");
-    const auto nvl = get<std::uint32_t>(is);
+    rd.array(rt.events, nev, "trace stream truncated in events");
+    const auto nvl = rd.get<std::uint32_t>();
     HPS_REQUIRE(nvl <= kMaxEventsPerRank, "trace vlist count out of range");
+    rd.room(nvl, sizeof(std::uint32_t), "trace stream truncated in vlist");
     rt.vlists.resize(nvl);
     for (auto& vl : rt.vlists) {
-      const auto sz = get<std::uint32_t>(is);
+      const auto sz = rd.get<std::uint32_t>();
       HPS_REQUIRE(sz <= static_cast<std::uint32_t>(t.nranks()), "trace vlist size out of range");
-      vl.resize(sz);
-      is.read(reinterpret_cast<char*>(vl.data()),
-              static_cast<std::streamsize>(sz * sizeof(std::uint64_t)));
-      HPS_REQUIRE(static_cast<bool>(is), "trace stream truncated in vlist");
+      rd.array(vl, sz, "trace stream truncated in vlist");
     }
   }
   return t;

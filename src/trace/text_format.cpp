@@ -195,10 +195,16 @@ Trace read_text_format(std::istream& is) {
       m.app = a.get_str("app");
       m.variant = a.get_str("variant") == "-" ? "" : a.get_str("variant");
       m.machine = a.get_str("machine");
-      m.nranks = static_cast<Rank>(a.get_int("ranks"));
-      m.ranks_per_node = static_cast<int>(a.get_int_or("rpn", 16));
+      const std::int64_t ranks = a.get_int("ranks");
+      const std::int64_t rpn = a.get_int_or("rpn", 16);
       m.seed = static_cast<std::uint64_t>(a.get_int_or("seed", 0));
-      HPS_REQUIRE(m.nranks > 0, "line " + std::to_string(lineno) + ": ranks must be > 0");
+      HPS_REQUIRE(ranks > 0, "line " + std::to_string(lineno) + ": ranks must be > 0");
+      HPS_REQUIRE(ranks <= kMaxRanks,
+                  "line " + std::to_string(lineno) + ": ranks out of range");
+      HPS_REQUIRE(rpn > 0 && rpn <= kMaxRanks,
+                  "line " + std::to_string(lineno) + ": rpn out of range");
+      m.nranks = static_cast<Rank>(ranks);
+      m.ranks_per_node = static_cast<int>(rpn);
       t = Trace(std::move(m));
       builders.clear();
       for (Rank r = 0; r < t.nranks(); ++r)
@@ -241,6 +247,7 @@ Trace read_text_format(std::istream& is) {
 
     const Attrs a(toks, 1, lineno);
     const auto dur = static_cast<SimTime>(a.get_int_or("dur", 0));
+    HPS_REQUIRE(dur >= 0, "line " + std::to_string(lineno) + ": dur must be >= 0");
     const auto comm = static_cast<CommId>(a.get_int_or("comm", kCommWorld));
     HPS_REQUIRE(comm >= 0 && comm < static_cast<CommId>(t.num_comms()),
                 "line " + std::to_string(lineno) + ": unknown comm");

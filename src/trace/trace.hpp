@@ -29,6 +29,10 @@ struct TraceMeta {
   std::uint64_t seed = 0;  ///< generator seed (0 for externally loaded traces)
 };
 
+/// Largest rank count the trace readers accept: every rank gets storage
+/// before any of its events is read, so a hostile header must not choose it.
+inline constexpr Rank kMaxRanks = 1 << 20;
+
 /// A complete application trace.
 class Trace {
  public:

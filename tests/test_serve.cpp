@@ -904,6 +904,89 @@ TEST(ServeMetrics, MetricsReplyGoldenBytesAreStable) {
   EXPECT_EQ(got.costs[0].scheme, "packet");
 }
 
+// Text renderings, pinned byte for byte: stats_to_json is what `request
+// --stats` and the drain line print, render_prometheus is what scrapers
+// parse. The reply is the one MetricsReplyGoldenBytesAreStable encodes.
+constexpr const char* kGoldenStatsJson =
+    "{\"requests\":1,\"studies_run\":2,\"cache_hits\":3,\"cache_misses\":4,"
+    "\"cache_bytes\":5,\"cache_entries\":6,\"cache_evictions\":7,\"coalesced\":8,"
+    "\"rejected_queue_full\":9,\"rejected_draining\":10,\"rejected_bad\":11,"
+    "\"rejected_conn_limit\":12,\"active\":13,\"queued\":14,\"uptime_ms\":15,"
+    "\"ledger_records\":16,\"spans_dropped\":17,\"rejected_expired\":18,"
+    "\"shed_queue_delay\":19,\"degraded_fallback\":20,\"rejected_slow_read\":21,"
+    "\"ledger_write_errors\":22,\"cache_spilled\":23,\"cache_recovered\":24,"
+    "\"cache_quarantined\":25,\"cache_recovery_ms\":26,\"cache_scrub_passes\":27,"
+    "\"cache_scrub_corrupt\":28}";
+
+constexpr const char* kGoldenPrometheus = R"prom(# TYPE hpcsweepd_requests_total counter
+hpcsweepd_requests_total 1
+# TYPE hpcsweepd_studies_run_total counter
+hpcsweepd_studies_run_total 2
+# TYPE hpcsweepd_coalesced_total counter
+hpcsweepd_coalesced_total 8
+# TYPE hpcsweepd_cache_hits_total counter
+hpcsweepd_cache_hits_total 3
+# TYPE hpcsweepd_cache_misses_total counter
+hpcsweepd_cache_misses_total 4
+# TYPE hpcsweepd_cache_evictions_total counter
+hpcsweepd_cache_evictions_total 7
+# TYPE hpcsweepd_rejected_total counter
+hpcsweepd_rejected_total{reason="queue_full"} 9
+hpcsweepd_rejected_total{reason="draining"} 10
+hpcsweepd_rejected_total{reason="bad_request"} 11
+hpcsweepd_rejected_total{reason="conn_limit"} 12
+hpcsweepd_rejected_total{reason="expired"} 18
+hpcsweepd_rejected_total{reason="slow_read"} 21
+# TYPE hpcsweepd_shed_total counter
+hpcsweepd_shed_total 19
+# TYPE hpcsweepd_degraded_fallback_total counter
+hpcsweepd_degraded_fallback_total 20
+# TYPE hpcsweepd_cache_spilled_total counter
+hpcsweepd_cache_spilled_total 23
+# TYPE hpcsweepd_cache_recovered_total counter
+hpcsweepd_cache_recovered_total 24
+# TYPE hpcsweepd_cache_quarantined_total counter
+hpcsweepd_cache_quarantined_total 25
+# TYPE hpcsweepd_cache_scrub_passes_total counter
+hpcsweepd_cache_scrub_passes_total 27
+# TYPE hpcsweepd_cache_scrub_corrupt_total counter
+hpcsweepd_cache_scrub_corrupt_total 28
+# TYPE hpcsweepd_serve_ledger_records_total counter
+hpcsweepd_serve_ledger_records_total 16
+# TYPE hpcsweepd_ledger_write_errors_total counter
+hpcsweepd_ledger_write_errors_total 22
+# TYPE hpcsweepd_spans_dropped_total counter
+hpcsweepd_spans_dropped_total 17
+# TYPE hpcsweepd_cache_bytes gauge
+hpcsweepd_cache_bytes 5
+# TYPE hpcsweepd_cache_entries gauge
+hpcsweepd_cache_entries 6
+# TYPE hpcsweepd_active_studies gauge
+hpcsweepd_active_studies 13
+# TYPE hpcsweepd_queue_depth gauge
+hpcsweepd_queue_depth 14
+# TYPE hpcsweepd_uptime_seconds gauge
+hpcsweepd_uptime_seconds 12.5
+# TYPE hpcsweepd_cache_recovery_ms gauge
+hpcsweepd_cache_recovery_ms 26
+# TYPE hpcsweepd_phase_latency_seconds histogram
+hpcsweepd_phase_latency_seconds_bucket{phase="execute",le="0.001"} 1
+hpcsweepd_phase_latency_seconds_bucket{phase="execute",le="0.1"} 3
+hpcsweepd_phase_latency_seconds_bucket{phase="execute",le="+Inf"} 3
+hpcsweepd_phase_latency_seconds_sum{phase="execute"} 0.125
+hpcsweepd_phase_latency_seconds_count{phase="execute"} 3
+# TYPE hpcsweepd_cost_wall_seconds_total counter
+# TYPE hpcsweepd_cost_runs_total counter
+hpcsweepd_cost_wall_seconds_total{class="stencil",scheme="packet"} 0.25
+hpcsweepd_cost_runs_total{class="stencil",scheme="packet"} 4
+)prom";
+
+TEST(ServeMetrics, TextRenderingsAreStable) {
+  EXPECT_EQ(stats_to_json(golden_stats()), kGoldenStatsJson);
+  EXPECT_EQ(render_prometheus(decode_metrics(hps::testing::from_hex(kGoldenMetricsHex))),
+            kGoldenPrometheus);
+}
+
 TEST(ServeMetrics, MutatedRepliesDecodeOrRejectWithError) {
   hps::testing::expect_decoded_or_rejected(hps::testing::from_hex(kGoldenMetricsHex),
                                            [](const std::string& p) { decode_metrics(p); });

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -66,6 +69,59 @@ TEST(Registry, ConcurrentCounterSumsAreExact) {
   for (auto& t : pool) t.join();
   // Per-thread shards mean no increments are lost to racing read-modify-writes.
   EXPECT_EQ(reg.snapshot().value("hits"), kThreads * kIters);
+}
+
+// A daemon observes from one short-lived thread per connection: each exited
+// thread's shard must go back to the registry for the next thread, with its
+// values kept, or memory and scrape time grow with every connection.
+TEST(Registry, ExitedThreadShardsAreReusedAndKeepTheirCounts) {
+  Registry reg;
+  reg.set_enabled(true);
+  reg.set_tracing(true);
+  const Counter c = reg.counter("conns");
+  constexpr int kThreads = 1000;
+  for (int i = 0; i < kThreads; ++i)
+    std::thread([&] {
+      c.add();
+      Span s(reg, "conn", "test");
+    }).join();
+  EXPECT_EQ(reg.snapshot().value("conns"), static_cast<std::uint64_t>(kThreads));
+  const auto spans = reg.spans();
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kThreads));
+  std::vector<std::uint32_t> tids;
+  for (const SpanRecord& sp : spans) tids.push_back(sp.tid);
+  std::sort(tids.begin(), tids.end());
+  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
+  EXPECT_LE(tids.size(), 2u);
+}
+
+TEST(Registry, ThreadOutlivingItsRegistryExitsCleanly) {
+  auto reg = std::make_unique<Registry>();
+  reg->set_enabled(true);
+  const Counter c = reg->counter("x");
+  std::mutex mu;
+  std::condition_variable cv;
+  bool touched = false, reg_gone = false;
+  std::thread t([&] {
+    c.add();
+    std::unique_lock<std::mutex> lk(mu);
+    touched = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return reg_gone; });
+    // Exits here: the shard's registry no longer exists.
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return touched; });
+  }
+  EXPECT_EQ(reg->snapshot().value("x"), 1u);
+  reg.reset();
+  {
+    const std::lock_guard<std::mutex> lk(mu);
+    reg_gone = true;
+  }
+  cv.notify_all();
+  t.join();
 }
 
 TEST(Registry, GaugeMergesByMax) {

@@ -3,6 +3,8 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <sstream>
 
 #include "trace/builder.hpp"
@@ -11,6 +13,8 @@
 #include "trace/text_format.hpp"
 #include "trace/trace.hpp"
 #include "trace/validate.hpp"
+
+#include "codec_testing.hpp"
 
 namespace hps::trace {
 namespace {
@@ -359,6 +363,83 @@ TEST(Io, RejectsTruncatedInEvents) {
       Error);
 }
 
+long peak_rss_kb() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+// A count the stream cannot hold fails as truncated before anything is sized
+// by it. Against a 66-byte stream, 2^25 events would be 1.28 GB of Event and
+// 2^32 (the largest count the range check lets through) would be 160 GB.
+TEST(Io, HostileCountsFailTruncatedWithoutAllocating) {
+  for (const std::uint64_t nev : {std::uint64_t{1} << 25, std::uint64_t{1} << 32}) {
+    std::stringstream ss;
+    put_header(ss, "HPST", kTraceFormatVersion);
+    raw_put<std::uint64_t>(ss, nev);
+    ASSERT_EQ(ss.str().size(), 66u);
+    const long peak_before = peak_rss_kb();
+    EXPECT_THROW(
+        try { read_binary(ss); } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("truncated in events"), std::string::npos);
+          throw;
+        },
+        Error)
+        << nev << " events";
+    EXPECT_LT(peak_rss_kb() - peak_before, 16 * 1024) << nev << " events";
+  }
+  std::stringstream ss;
+  put_header(ss, "HPST", kTraceFormatVersion);
+  raw_put<std::uint64_t>(ss, 0);           // no events
+  raw_put<std::uint32_t>(ss, 0xffffffffu); // ~4G vlists in a few bytes
+  EXPECT_THROW(
+      try { read_binary(ss); } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated in vlist"), std::string::npos);
+        throw;
+      },
+      Error);
+}
+
+/// Small trace touching every layout feature: a sub-communicator,
+/// point-to-point with requests, rooted and unrooted collectives, and an
+/// alltoallv size list.
+Trace small_mixed_trace() {
+  Trace t(meta(3, "mixed"));
+  t.add_comm({0, 2});
+  RankBuilder b0(t, 0), b1(t, 1), b2(t, 2);
+  b0.compute(123);
+  b0.wait(b0.isend(1, 77, 3, 9), 1);
+  b1.recv(0, 77, 3, 8);
+  const std::uint64_t sizes[2] = {0, 11};
+  b0.alltoallv(sizes, 10, 1);
+  b2.alltoallv(sizes, 10, 1);
+  for (RankBuilder* b : {&b0, &b1, &b2}) {
+    b->allreduce(64, 22);
+    b->bcast(2, 128, 33);
+  }
+  return t;
+}
+
+// Both trace readers, swept with seeded mutations: every input is decoded or
+// rejected with hps::Error, never a third outcome (abort, bad_alloc, crash).
+TEST(Io, MutatedBinaryTracesDecodeOrRejectWithError) {
+  std::stringstream ss;
+  write_binary(small_mixed_trace(), ss);
+  hps::testing::expect_decoded_or_rejected(ss.str(), [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    read_binary(is);
+  });
+}
+
+TEST(TextFormat, MutatedTextTracesParseOrRejectWithError) {
+  std::stringstream ss;
+  write_text_format(small_mixed_trace(), ss);
+  hps::testing::expect_decoded_or_rejected(ss.str(), [](const std::string& text) {
+    std::istringstream is(text);
+    read_text_format(is);
+  });
+}
+
 TEST(Io, TextDumpContainsOps) {
   Trace t = valid_pair_trace();
   std::stringstream ss;
@@ -457,6 +538,18 @@ TEST(TextFormat, RejectsMalformedInput) {
   EXPECT_THROW(
       parse("meta app=x variant=- machine=m ranks=2\nrank 0\nsend peer=9 bytes=b\n"),
       Error);
+}
+
+// Values the trace container or builder would abort on are input errors.
+TEST(TextFormat, RejectsValuesTheContainerWouldAbortOn) {
+  auto parse = [](const char* text) {
+    std::stringstream ss(text);
+    return read_text_format(ss);
+  };
+  EXPECT_THROW(parse("meta app=x variant=- machine=m ranks=2 rpn=0\n"), Error);
+  EXPECT_THROW(parse("meta app=x variant=- machine=m ranks=4294967298\n"), Error);
+  EXPECT_THROW(parse("meta app=x variant=- machine=m ranks=2\nrank 0\ncompute dur=-5\n"),
+               Error);
 }
 
 }  // namespace
