@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/flat_hash.hpp"
 #include "mfact/coll_cost.hpp"
 #include "obs/timeline.hpp"
 #include "robust/cancel.hpp"
 #include "robust/fault.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/match.hpp"
 
 namespace hps::mfact {
 
@@ -19,30 +20,8 @@ namespace {
 using trace::Event;
 using trace::OpType;
 
-/// FIFO stream key for (peer, tag).
-std::uint64_t stream_key(Rank peer, Tag tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) |
-         static_cast<std::uint32_t>(tag);
-}
-
-/// Message key: seq-th message from src to dst with tag.
-struct MsgKey {
-  Rank src, dst;
-  Tag tag;
-  std::uint32_t seq;
-  bool operator==(const MsgKey&) const = default;
-};
-struct MsgKeyHash {
-  std::size_t operator()(const MsgKey& k) const {
-    std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.src)) << 32) |
-                      static_cast<std::uint32_t>(k.dst);
-    h ^= ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.tag)) << 32) | k.seq) *
-         0x9e3779b97f4a7c15ULL;
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 31));
-  }
-};
+using trace::MatchKey;
+using trace::stream_key;
 
 /// The single-pass multi-configuration logical clock replay.
 class LogicalReplay {
@@ -50,7 +29,8 @@ class LogicalReplay {
   LogicalReplay(const trace::Trace& t, const std::vector<NetworkConfigPoint>& configs,
                 const MfactParams& params)
       : trace_(t), configs_(configs), params_(params),
-        k_(configs.size()), nranks_(static_cast<std::size_t>(t.nranks())) {
+        k_(configs.size()), nranks_(static_cast<std::size_t>(t.nranks())), member_index_(t),
+        a2av_(t, member_index_) {
     HPS_CHECK(!configs.empty());
     clocks_.assign(nranks_ * k_, 0.0);
     counters_.assign(nranks_ * k_, Counters{});
@@ -66,28 +46,40 @@ class LogicalReplay {
           params.allreduce_rabenseifner_threshold;
     }
     comm_state_.resize(t.num_comms());
-    for (Rank r = 0; r < t.nranks(); ++r)
-      for (const auto& e : t.rank(r).events)
-        if (e.type == OpType::kAlltoallv)
-          rank_aux_[static_cast<std::size_t>(r)].a2av[e.comm].push_back(e.aux);
   }
 
   std::vector<ConfigResult> run();
 
  private:
   struct RankAux {
-    std::unordered_map<std::uint64_t, std::uint32_t> send_seq, recv_seq;
-    std::unordered_map<std::int32_t, MsgKey> irecv_key;  // posted irecvs
-    std::unordered_set<std::int32_t> isend_reqs;         // complete at issue
-    std::unordered_map<CommId, std::uint32_t> a2av_next;
-    std::unordered_map<CommId, std::vector<std::int32_t>> a2av;  // aux ids in order
+    // (peer, tag) -> next seq of the stream.
+    FlatMap<std::uint64_t, std::uint32_t, Mix64Hash> send_seq, recv_seq;
+    // Posted irecvs. Its iteration order is part of the prediction contract:
+    // WaitAll drains it in begin() order, consuming arrivals one at a time,
+    // and the order in which a rank's clock absorbs them changes its wait
+    // and total times. That order is libstdc++'s bucket order for these
+    // exact emplace/find/erase calls, so the container, its hash, and the
+    // call sequence must stay as they are until the reference predictions
+    // are regenerated on purpose.
+    std::unordered_map<std::int32_t, MatchKey> irecv_key;
+    // Isend requests, complete at issue (a set; the mapped byte is unused).
+    FlatMap<std::uint64_t, std::uint8_t, Mix64Hash> isend_reqs;
     bool coll_arrived = false;
     bool in_work = false;
   };
 
   struct CommState {
     int arrived = 0;
+    std::uint32_t a2av_next = 0;  // Alltoallv instances completed
   };
+
+  /// One message between its send and its receive: whichever side comes
+  /// first creates the record; the receive consumes it.
+  struct Match {
+    std::uint32_t slab = kNoSlab;  // arrival slab once the send happened
+    Rank waiter = -1;              // receiver blocked on it, if any
+  };
+  static constexpr std::uint32_t kNoSlab = ~std::uint32_t{0};
 
   double* clock(Rank r) { return &clocks_[static_cast<std::size_t>(r) * k_]; }
   double* nic(Rank r) { return &nic_[static_cast<std::size_t>(r) * k_]; }
@@ -114,7 +106,7 @@ class LogicalReplay {
   /// Apply a message arrival to the receiving rank's clocks. The slab holds
   /// one arrival timestamp per configuration.
   void apply_arrival(Rank r, const double* arrival);
-  bool try_consume_msg(Rank r, const MsgKey& key);
+  bool try_consume_msg(Rank r, const MatchKey& key);
   /// Returns true if the collective completed (cursors advanced).
   bool process_collective(Rank r, const Event& e);
   void apply_collective(const Event& e, const std::vector<Rank>& members);
@@ -136,6 +128,8 @@ class LogicalReplay {
   const MfactParams& params_;
   const std::size_t k_;
   const std::size_t nranks_;
+  const trace::CommIndex member_index_;
+  const trace::AlltoallvIndex a2av_;
 
   std::vector<double> clocks_;
   std::vector<double> nic_;  // LogGP: per-rank per-config NIC busy-until
@@ -144,10 +138,9 @@ class LogicalReplay {
   std::vector<RankAux> rank_aux_;
   std::vector<CostParams> cost_params_;
 
-  std::unordered_map<MsgKey, std::uint32_t, MsgKeyHash> arrivals_;  // key -> slab
+  FlatMap<MatchKey, Match, trace::MatchKeyHash> matches_;
   std::vector<double> slabs_;
   std::vector<std::uint32_t> slab_free_;
-  std::unordered_map<MsgKey, Rank, MsgKeyHash> blocked_on_;
   std::vector<CommState> comm_state_;
   std::vector<Rank> work_;
   // Scratch for collective processing.
@@ -158,7 +151,6 @@ class LogicalReplay {
 void LogicalReplay::process_send(Rank r, const Event& e) {
   auto& aux = rank_aux_[static_cast<std::size_t>(r)];
   const std::uint32_t seq = aux.send_seq[stream_key(e.peer, e.tag)]++;
-  const MsgKey key{r, e.peer, e.tag, seq};
   const std::uint32_t s = alloc_slab();
   double* arr = slab(s);
   double* clk = clock(r);
@@ -193,12 +185,11 @@ void LogicalReplay::process_send(Rank r, const Event& e) {
     }
     cc[c].p2p += p.overhead_ns + p.latency_ns + beta;
   }
-  arrivals_.emplace(key, s);
-  const auto it = blocked_on_.find(key);
-  if (it != blocked_on_.end()) {
-    const Rank waiter = it->second;
-    blocked_on_.erase(it);
-    push_work(waiter);
+  Match& m = matches_[MatchKey{r, e.peer, e.tag, seq}];
+  m.slab = s;
+  if (m.waiter >= 0) {
+    push_work(m.waiter);
+    m.waiter = -1;
   }
 }
 
@@ -222,14 +213,14 @@ void LogicalReplay::apply_arrival(Rank r, const double* arrival) {
   }
 }
 
-bool LogicalReplay::try_consume_msg(Rank r, const MsgKey& key) {
-  const auto it = arrivals_.find(key);
-  if (it == arrivals_.end()) {
-    blocked_on_[key] = r;
+bool LogicalReplay::try_consume_msg(Rank r, const MatchKey& key) {
+  Match& m = matches_[key];
+  if (m.slab == kNoSlab) {
+    m.waiter = r;
     return false;
   }
-  const std::uint32_t s = it->second;
-  arrivals_.erase(it);
+  const std::uint32_t s = m.slab;
+  matches_.erase(key);
   apply_arrival(r, slab(s));
   slab_free_.push_back(s);
   return true;
@@ -270,13 +261,9 @@ void LogicalReplay::apply_collective(const Event& e, const std::vector<Rank>& me
     send_tot_.assign(members.size(), 0);
     recv_tot_.assign(members.size(), 0);
     nonzero_.assign(members.size(), 0);
+    const std::uint32_t inst = comm_state_[static_cast<std::size_t>(e.comm)].a2av_next++;
     for (std::size_t i = 0; i < members.size(); ++i) {
-      auto& maux = rank_aux_[static_cast<std::size_t>(members[i])];
-      const auto inst = maux.a2av_next[e.comm]++;
-      const auto& aux_ids = maux.a2av.at(e.comm);
-      HPS_CHECK_MSG(inst < aux_ids.size(), "alltoallv instance mismatch");
-      const auto& vlist =
-          trace_.rank(members[i]).vlists[static_cast<std::size_t>(aux_ids[inst])];
+      const auto& vlist = a2av_.vlist(e.comm, i, inst);
       for (std::size_t j = 0; j < members.size(); ++j) {
         if (i == j) continue;
         send_tot_[i] += vlist[j];
@@ -291,9 +278,8 @@ void LogicalReplay::apply_collective(const Event& e, const std::vector<Rank>& me
   const bool rooted = trace::is_rooted(e.type);
   std::int32_t root_idx = 0;
   if (rooted) {
-    const auto it = std::find(members.begin(), members.end(), e.peer);
-    HPS_CHECK(it != members.end());
-    root_idx = static_cast<std::int32_t>(it - members.begin());
+    root_idx = member_index_(e.comm, e.peer);
+    HPS_CHECK(root_idx >= 0);
   }
 
   for (std::size_t c = 0; c < k_; ++c) {
@@ -419,28 +405,26 @@ void LogicalReplay::run_rank(Rank r) {
         break;
       case OpType::kIsend:
         process_send(r, e);
-        aux.isend_reqs.insert(e.request);
+        aux.isend_reqs[static_cast<std::uint32_t>(e.request)] = 1;
         ++cur;
         break;
       case OpType::kRecv: {
         // Peek the sequence number; only consume it on success so a blocked
         // retry sees the same key.
-        const std::uint64_t sk = stream_key(e.peer, e.tag);
-        const std::uint32_t seq = aux.recv_seq[sk];
-        const MsgKey key{e.peer, r, e.tag, seq};
-        if (!try_consume_msg(r, key)) return;
-        aux.recv_seq[sk] = seq + 1;
+        std::uint32_t& seq = aux.recv_seq[stream_key(e.peer, e.tag)];
+        if (!try_consume_msg(r, MatchKey{e.peer, r, e.tag, seq})) return;
+        ++seq;
         ++cur;
         break;
       }
       case OpType::kIrecv: {
         const std::uint32_t seq = aux.recv_seq[stream_key(e.peer, e.tag)]++;
-        aux.irecv_key.emplace(e.request, MsgKey{e.peer, r, e.tag, seq});
+        aux.irecv_key.emplace(e.request, MatchKey{e.peer, r, e.tag, seq});
         ++cur;
         break;
       }
       case OpType::kWait: {
-        if (aux.isend_reqs.erase(e.request) > 0) {
+        if (aux.isend_reqs.erase(static_cast<std::uint32_t>(e.request))) {
           ++cur;
           break;
         }

@@ -11,6 +11,8 @@
 
 namespace hps::simmpi {
 
+using trace::stream_key;
+
 namespace {
 /// Collective request ids live above this base so they never collide with
 /// trace-recorded (app) request ids, which are small non-negative ints.
@@ -29,7 +31,8 @@ const char* net_model_name(NetModelKind k) {
 
 Replayer::Replayer(const trace::Trace& t, const machine::MachineInstance& m, NetModelKind kind,
                    const ReplayConfig& cfg)
-    : trace_(t), machine_(m), cfg_(cfg), kind_(kind) {
+    : trace_(t), machine_(m), cfg_(cfg), kind_(kind), member_index_(t),
+      a2av_(t, member_index_) {
   HPS_CHECK(t.nranks() == m.nranks());
   eng_.set_recorder(cfg_.timeline);
   eng_.set_cancel(cfg_.cancel);
@@ -56,22 +59,6 @@ Replayer::Replayer(const trace::Trace& t, const machine::MachineInstance& m, Net
   }
 
   ranks_.resize(static_cast<std::size_t>(t.nranks()));
-
-  comm_index_.resize(t.num_comms());
-  for (CommId c = 0; c < static_cast<CommId>(t.num_comms()); ++c) {
-    auto& idx = comm_index_[static_cast<std::size_t>(c)];
-    idx.assign(static_cast<std::size_t>(t.nranks()), -1);
-    const auto& members = t.comm(c);
-    for (std::size_t i = 0; i < members.size(); ++i)
-      idx[static_cast<std::size_t>(members[i])] = static_cast<std::int32_t>(i);
-  }
-
-  a2av_aux_.resize(static_cast<std::size_t>(t.nranks()));
-  for (Rank r = 0; r < t.nranks(); ++r) {
-    for (const auto& e : t.rank(r).events)
-      if (e.type == trace::OpType::kAlltoallv)
-        a2av_aux_[static_cast<std::size_t>(r)][e.comm].push_back(e.aux);
-  }
 }
 
 Replayer::~Replayer() = default;
@@ -264,7 +251,7 @@ std::int64_t Replayer::new_coll_req(RankState& st) {
   return req;
 }
 
-std::uint32_t Replayer::match_of(const detail::MatchKey& key) {
+std::uint32_t Replayer::match_of(const trace::MatchKey& key) {
   // The mapped value is slot + 1, so the map's value-initialized zero means
   // "no record yet" and the find-or-insert stays a single probe.
   std::uint32_t& mapped = match_slot_[key];
@@ -285,7 +272,7 @@ std::uint32_t Replayer::match_of(const detail::MatchKey& key) {
 
 void Replayer::do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint32_t seq,
                        std::uint64_t bytes, bool blocking, std::int64_t req) {
-  const detail::MatchKey key{r, dst, tag, seq};
+  const trace::MatchKey key{r, dst, tag, seq};
   const std::uint32_t slot = match_of(key);
   MatchState& ms = match_pool_[slot];
   ms.send_bytes = bytes;
@@ -312,7 +299,7 @@ void Replayer::do_send(Rank r, RankState& st, Rank dst, Tag tag, std::uint32_t s
 
 void Replayer::do_recv(Rank r, RankState& st, Rank src, Tag tag, std::uint32_t seq,
                        bool blocking, std::int64_t req) {
-  const detail::MatchKey key{src, r, tag, seq};
+  const trace::MatchKey key{src, r, tag, seq};
   const std::uint32_t slot = match_of(key);
   MatchState& ms = match_pool_[slot];
   ms.recv_posted = true;
@@ -328,7 +315,7 @@ void Replayer::do_recv(Rank r, RankState& st, Rank src, Tag tag, std::uint32_t s
   if (blocking) begin_block(st, Block::kRecv);
 }
 
-void Replayer::inject(MsgKind kind, const detail::MatchKey& key, std::uint32_t slot,
+void Replayer::inject(MsgKind kind, const trace::MatchKey& key, std::uint32_t slot,
                       Rank from, Rank to, std::uint64_t bytes) {
   std::uint32_t id;
   if (!msg_free_.empty()) {
@@ -342,7 +329,7 @@ void Replayer::inject(MsgKind kind, const detail::MatchKey& key, std::uint32_t s
   net_->inject(id, node_of(from), node_of(to), bytes);
 }
 
-void Replayer::send_cts(const detail::MatchKey& key, std::uint32_t slot) {
+void Replayer::send_cts(const trace::MatchKey& key, std::uint32_t slot) {
   match_pool_[slot].cts_sent = true;
   inject(MsgKind::kCts, key, slot, key.dst, key.src, 0);
 }
@@ -378,7 +365,7 @@ void Replayer::message_delivered(simnet::MsgId id, SimTime /*at*/) {
   }
 }
 
-void Replayer::complete_recv(const detail::MatchKey& key, MatchState& ms) {
+void Replayer::complete_recv(const trace::MatchKey& key, MatchState& ms) {
   ms.recv_done = true;
   msgs_matched_.add();
   RankState& st = ranks_[static_cast<std::size_t>(key.dst)];
@@ -389,7 +376,7 @@ void Replayer::complete_recv(const detail::MatchKey& key, MatchState& ms) {
   }
 }
 
-void Replayer::complete_rdv_sender(const detail::MatchKey& key, MatchState& ms) {
+void Replayer::complete_rdv_sender(const trace::MatchKey& key, MatchState& ms) {
   if (ms.sender_done) return;
   ms.sender_done = true;
   RankState& st = ranks_[static_cast<std::size_t>(key.src)];
@@ -424,7 +411,7 @@ void Replayer::complete_request(Rank r, std::int64_t req) {
   }
 }
 
-void Replayer::maybe_erase(const detail::MatchKey& key, std::uint32_t slot,
+void Replayer::maybe_erase(const trace::MatchKey& key, std::uint32_t slot,
                            const MatchState& ms) {
   // Only a fully completed record pays the erase probe; its slot goes back
   // on the free list for the next match_of().
@@ -437,7 +424,7 @@ void Replayer::maybe_erase(const detail::MatchKey& key, std::uint32_t slot,
 void Replayer::begin_collective(Rank r, RankState& st, const trace::Event& e) {
   collectives_.add();
   const auto& members = trace_.comm(e.comm);
-  const std::int32_t me = comm_index_[static_cast<std::size_t>(e.comm)][static_cast<std::size_t>(r)];
+  const std::int32_t me = member_index_(e.comm, r);
   HPS_CHECK_MSG(me >= 0, "rank not a member of collective communicator");
 
   const std::uint32_t inst = st.coll_count[static_cast<std::uint32_t>(e.comm)]++;
@@ -451,8 +438,7 @@ void Replayer::begin_collective(Rank r, RankState& st, const trace::Event& e) {
   d.me = me;
   d.bytes = e.bytes;
   if (trace::is_rooted(e.type)) {
-    const std::int32_t root =
-        comm_index_[static_cast<std::size_t>(e.comm)][static_cast<std::size_t>(e.peer)];
+    const std::int32_t root = member_index_(e.comm, e.peer);
     HPS_CHECK_MSG(root >= 0, "collective root outside communicator");
     d.root = root;
   }
@@ -461,14 +447,8 @@ void Replayer::begin_collective(Rank r, RankState& st, const trace::Event& e) {
     const auto& my_vlist = trace_.rank(r).vlists[static_cast<std::size_t>(e.aux)];
     d.send_sizes = my_vlist;
     recv_sizes_scratch_.resize(members.size());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      const Rank peer = members[j];
-      const auto& aux_list = a2av_aux_[static_cast<std::size_t>(peer)].at(e.comm);
-      HPS_CHECK_MSG(ainst < aux_list.size(), "alltoallv instance mismatch across ranks");
-      const auto& peer_vlist =
-          trace_.rank(peer).vlists[static_cast<std::size_t>(aux_list[ainst])];
-      recv_sizes_scratch_[j] = peer_vlist[static_cast<std::size_t>(me)];
-    }
+    for (std::size_t j = 0; j < members.size(); ++j)
+      recv_sizes_scratch_[j] = a2av_.vlist(e.comm, j, ainst)[static_cast<std::size_t>(me)];
     d.recv_sizes = recv_sizes_scratch_;
   }
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_hash.hpp"
@@ -29,6 +28,7 @@
 #include "simmpi/collectives.hpp"
 #include "simnet/network.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/match.hpp"
 #include "trace/trace.hpp"
 
 namespace hps::obs {
@@ -98,33 +98,6 @@ class ReplayCancelled : public robust::CancelledError {
   ReplayResult partial_;
 };
 
-namespace detail {
-
-/// Key identifying one logical message: the seq-th message from src to dst
-/// with the given tag. Sequence numbers give MPI's FIFO matching order even
-/// if the network delivers out of order.
-struct MatchKey {
-  Rank src = -1, dst = -1;
-  Tag tag = 0;
-  std::uint32_t seq = 0;
-  bool operator==(const MatchKey&) const = default;
-};
-
-struct MatchKeyHash {
-  std::size_t operator()(const MatchKey& k) const {
-    std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.src)) << 32) |
-                      static_cast<std::uint32_t>(k.dst);
-    std::uint64_t h2 = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.tag)) << 32) |
-                       k.seq;
-    h ^= h2 * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 31));
-  }
-};
-
-}  // namespace detail
-
 /// The replay engine. Exposed (rather than hidden in the .cpp) so tests can
 /// drive smaller scenarios and inspect state; most callers use replay_trace.
 class Replayer final : public simnet::MessageSink, private des::Handler {
@@ -159,7 +132,7 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
 
   struct MsgRec {
     MsgKind kind = MsgKind::kEagerData;
-    detail::MatchKey key;
+    trace::MatchKey key;
     std::uint32_t slot = 0;  // index into match_pool_; skips the hash probe
   };
 
@@ -218,15 +191,15 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   bool do_wait(Rank r, RankState& st, std::int64_t req);
   void begin_collective(Rank r, RankState& st, const trace::Event& e);
 
-  void inject(MsgKind kind, const detail::MatchKey& key, std::uint32_t slot, Rank from,
+  void inject(MsgKind kind, const trace::MatchKey& key, std::uint32_t slot, Rank from,
               Rank to, std::uint64_t bytes);
-  void send_cts(const detail::MatchKey& key, std::uint32_t slot);
+  void send_cts(const trace::MatchKey& key, std::uint32_t slot);
   void complete_request(Rank r, std::int64_t req);
-  void complete_recv(const detail::MatchKey& key, MatchState& st);
-  void complete_rdv_sender(const detail::MatchKey& key, MatchState& st);
+  void complete_recv(const trace::MatchKey& key, MatchState& st);
+  void complete_rdv_sender(const trace::MatchKey& key, MatchState& st);
   /// Find-or-create the match record for `key`; returns its match_pool_ slot.
-  std::uint32_t match_of(const detail::MatchKey& key);
-  void maybe_erase(const detail::MatchKey& key, std::uint32_t slot, const MatchState& ms);
+  std::uint32_t match_of(const trace::MatchKey& key);
+  void maybe_erase(const trace::MatchKey& key, std::uint32_t slot, const MatchState& ms);
   /// Enter a blocked state, stamping the block start for component
   /// attribution. All five block sites go through here.
   void begin_block(RankState& st, Block b, std::int64_t req = -1);
@@ -240,10 +213,6 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   void flush_scheme_telemetry(const ReplayResult& res);
 
   NodeId node_of(Rank r) const { return machine_.node_of(r); }
-  static std::uint64_t stream_key(Rank peer, Tag tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) |
-           static_cast<std::uint32_t>(tag);
-  }
 
   const trace::Trace& trace_;
   const machine::MachineInstance& machine_;
@@ -265,17 +234,14 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   // reaches its record with no hash probe at all. A record is erased only
   // when both sides and the data are done, so no in-flight message can
   // outlive its slot.
-  FlatMap<detail::MatchKey, std::uint32_t, detail::MatchKeyHash> match_slot_;
+  FlatMap<trace::MatchKey, std::uint32_t, trace::MatchKeyHash> match_slot_;
   std::vector<MatchState> match_pool_;
   std::vector<std::uint32_t> match_free_;
   std::vector<MsgRec> msg_pool_;
   std::vector<std::uint32_t> msg_free_;
 
-  // Pre-resolved communicator index maps: comm -> (world rank -> index, -1
-  // if not a member).
-  std::vector<std::vector<std::int32_t>> comm_index_;
-  // Per rank, per comm: aux ids of its Alltoallv events in issue order.
-  std::vector<std::unordered_map<CommId, std::vector<std::int32_t>>> a2av_aux_;
+  const trace::CommIndex member_index_;
+  const trace::AlltoallvIndex a2av_;
 
   std::int64_t next_coll_req_ = 0;
   Rank finished_ = 0;

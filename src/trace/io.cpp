@@ -166,6 +166,7 @@ Trace read_binary(std::istream& is) {
     if (c == 0) continue;  // world was created by the Trace constructor
     for (const Rank r : members)
       HPS_REQUIRE(r >= 0 && r < t.nranks(), "trace comm member out of range");
+    HPS_REQUIRE(!has_duplicate_members(members), "trace comm has a duplicate member");
     t.add_comm(members);
   }
 

@@ -226,6 +226,8 @@ Trace read_text_format(std::istream& is) {
       for (const Rank r : members)
         HPS_REQUIRE(r >= 0 && r < t.nranks(),
                     "line " + std::to_string(lineno) + ": comm member out of range");
+      HPS_REQUIRE(!has_duplicate_members(members),
+                  "line " + std::to_string(lineno) + ": duplicate comm member");
       t.add_comm(std::move(members));
       declared_comms = id;
       continue;

@@ -7,6 +7,11 @@
 
 namespace hps::trace {
 
+bool has_duplicate_members(std::vector<Rank> members) {
+  std::sort(members.begin(), members.end());
+  return std::adjacent_find(members.begin(), members.end()) != members.end();
+}
+
 Trace::Trace(TraceMeta meta) : meta_(std::move(meta)) {
   HPS_CHECK(meta_.nranks > 0);
   HPS_CHECK(meta_.ranks_per_node > 0);
@@ -19,6 +24,7 @@ Trace::Trace(TraceMeta meta) : meta_(std::move(meta)) {
 CommId Trace::add_comm(std::vector<Rank> members) {
   HPS_CHECK(!members.empty());
   for (Rank r : members) HPS_CHECK(r >= 0 && r < meta_.nranks);
+  HPS_CHECK(!has_duplicate_members(members));
   comms_.push_back(std::move(members));
   return static_cast<CommId>(comms_.size() - 1);
 }

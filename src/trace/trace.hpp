@@ -33,6 +33,9 @@ struct TraceMeta {
 /// before any of its events is read, so a hostile header must not choose it.
 inline constexpr Rank kMaxRanks = 1 << 20;
 
+/// Whether `members` names some rank more than once.
+bool has_duplicate_members(std::vector<Rank> members);
+
 /// A complete application trace.
 class Trace {
  public:
@@ -53,7 +56,8 @@ class Trace {
   const RankTrace& rank(Rank r) const { return ranks_[static_cast<std::size_t>(r)]; }
   RankTrace& rank(Rank r) { return ranks_[static_cast<std::size_t>(r)]; }
 
-  /// Register a sub-communicator; returns its CommId. Members are world ranks.
+  /// Register a sub-communicator; returns its CommId. Members are distinct
+  /// world ranks.
   CommId add_comm(std::vector<Rank> members);
 
   /// Members of a communicator. CommId 0 is always the full world.

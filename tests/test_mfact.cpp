@@ -178,6 +178,28 @@ TEST(Mfact, WaitAllDrainsIrecvs) {
   EXPECT_GT(res[0].total_time, 50000);
 }
 
+// WaitAll drains the posted irecvs in the iteration order of MFACT's
+// request table, and each consumed arrival moves the rank's clock before the
+// next is absorbed, so the order shows in the prediction: draining these
+// three in post order would give 33100 / 8650 instead. Pinned against the
+// predictions the replay has always made.
+TEST(Mfact, WaitAllDrainOrderIsPinned) {
+  Trace t(meta(4));
+  RankBuilder b0(t, 0);
+  for (Rank src = 1; src < 4; ++src) b0.irecv(src, 1000, 7, 0);
+  b0.waitall(0);
+  const SimTime compute[4] = {0, 30000, 10000, 20000};
+  for (Rank src = 1; src < 4; ++src) {
+    RankBuilder b(t, src);
+    b.compute(compute[src]);
+    b.send(0, 1000, 7, 0);
+  }
+  trace::validate_or_throw(t);
+  const auto res = run_mfact(t, {cfg(1e9, 100)}, params());
+  EXPECT_EQ(res[0].total_time, 32100);
+  EXPECT_EQ(res[0].comm_time_mean, 8400);
+}
+
 TEST(Mfact, DeadlockDiagnosed) {
   Trace t(meta(2));
   RankBuilder b0(t, 0), b1(t, 1);

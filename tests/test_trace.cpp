@@ -440,6 +440,38 @@ TEST(TextFormat, MutatedTextTracesParseOrRejectWithError) {
   });
 }
 
+// A communicator naming a rank twice has no well-defined member index, so
+// both readers refuse it.
+TEST(Io, RejectsDuplicateCommMembers) {
+  Trace t(meta(3));
+  t.add_comm({0, 2});
+  std::stringstream ss;
+  write_binary(t, ss);
+  std::string bytes = ss.str();
+  const std::string comm("\x02\0\0\0\0\0\0\0\x02\0\0\0", 12);  // size 2: {0, 2}
+  const auto at = bytes.find(comm);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 8] = 0;  // {0, 0}
+  std::istringstream is(bytes);
+  EXPECT_THROW(
+      try { read_binary(is); } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate member"), std::string::npos);
+        throw;
+      },
+      Error);
+}
+
+TEST(TextFormat, RejectsDuplicateCommMembers) {
+  std::stringstream ss("meta app=x variant=- machine=m ranks=3\ncomm 1 = 2 0 2\n");
+  EXPECT_THROW(
+      try { read_text_format(ss); } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2: duplicate comm member"),
+                  std::string::npos);
+        throw;
+      },
+      Error);
+}
+
 TEST(Io, TextDumpContainsOps) {
   Trace t = valid_pair_trace();
   std::stringstream ss;
