@@ -24,6 +24,12 @@ int main() {
       {"MiniFE", 1152, "1608.57 / 929.37 / 367.08 / 35.15"},
   };
 
+  // Each scheme is timed alone: schemes running side by side contend for
+  // the memory system and would inflate each other's wall times.
+  core::SchemeThreads alone(0);
+  core::RunOptions ro;
+  ro.scheme_threads = &alone;
+
   TextTable t;
   t.set_header({"trace", "Pkt", "Flow", "Pkt-flow", "MFACT", "(paper Pkt/Flow/P-f/MFACT)"});
   for (const Row& row : rows) {
@@ -34,7 +40,7 @@ int main() {
     gp.iter_factor = 0.1;  // keep the largest runs affordable on one core
     std::fprintf(stderr, "[table2] running %s(%d)...\n", row.app, row.ranks);
     const trace::Trace tr = workloads::generate_app(row.app, gp);
-    const core::TraceOutcome o = core::run_all_schemes(tr);
+    const core::TraceOutcome o = core::run_all_schemes(tr, ro);
     t.add_row({std::string(row.app) + "(" + std::to_string(row.ranks) + ")",
                fmt_double(o.of(Scheme::kPacket).wall_seconds, 2),
                fmt_double(o.of(Scheme::kFlow).wall_seconds, 2),

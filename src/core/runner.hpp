@@ -2,10 +2,18 @@
 // modeling and SST-style packet, flow, and packet-flow simulation — on the
 // machine the trace was collected on, recording predicted times and host
 // wall-clock cost per scheme.
+//
+// The four share nothing mutable, so packet and flow may run on helper
+// threads while the calling thread runs MFACT and then packet-flow. Helpers
+// are drawn from a SchemeThreads budget; outcomes are the same bytes either
+// way, wall_seconds aside.
 #pragma once
 
+#include <atomic>
+#include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "common/units.hpp"
 #include "mfact/classify.hpp"
@@ -74,6 +82,48 @@ struct TraceOutcome {
   std::optional<double> diff_comm(Scheme sim) const;
 };
 
+/// A budget of scheme threads: the threads running run_all_schemes and the
+/// helper threads they start. A helper starts only while fewer than
+/// `capacity` scheme threads run, so a pool that already fills the budget
+/// runs every scheme on its own threads.
+class SchemeThreads {
+ public:
+  /// Starts a helper thread; throws std::system_error when it cannot, as
+  /// std::jthread's constructor does.
+  using Starter = std::jthread (*)(std::function<void()> fn);
+
+  explicit SchemeThreads(int capacity, Starter start = nullptr);
+  SchemeThreads(const SchemeThreads&) = delete;
+  SchemeThreads& operator=(const SchemeThreads&) = delete;
+
+  /// The budget of callers that name none: hardware_concurrency() threads,
+  /// shared by the whole process.
+  static SchemeThreads& process();
+
+  /// RAII: counts the calling thread for its lifetime, even past capacity.
+  class Seat {
+   public:
+    explicit Seat(SchemeThreads& budget) : budget_(budget) { budget_.running_.fetch_add(1); }
+    ~Seat() { budget_.release(); }
+    Seat(const Seat&) = delete;
+    Seat& operator=(const Seat&) = delete;
+
+   private:
+    SchemeThreads& budget_;
+  };
+
+  /// Take one unit if fewer than capacity threads run.
+  bool try_acquire();
+  void release() { running_.fetch_sub(1); }
+  int running() const { return running_.load(); }
+  std::jthread start(std::function<void()> fn) const { return start_(std::move(fn)); }
+
+ private:
+  const int capacity_;
+  const Starter start_;
+  std::atomic<int> running_{0};
+};
+
 struct RunOptions {
   simmpi::ReplayConfig replay;
   mfact::ClassifyParams classify;
@@ -94,9 +144,17 @@ struct RunOptions {
   /// FailKind::kSkipped — orders of magnitude cheaper than simulating, with
   /// the accuracy loss the paper quantifies. Off everywhere by default.
   bool mfact_only = false;
+  /// Budget the packet and flow helper threads come from. nullptr: the
+  /// process-wide budget, in which the call also counts its own thread.
+  /// Otherwise the caller's thread is already counted (run_study seats each
+  /// worker), and SchemeThreads(0) runs every scheme on the calling thread.
+  /// Workers of a supervised process pool never start helpers.
+  SchemeThreads* scheme_threads = nullptr;
 };
 
-/// Run all four schemes over a freshly generated trace for `spec`.
+/// Run all four schemes over a freshly generated trace for `spec`. Throws
+/// hps::Error when opts.replay.timeline is set: one recorder cannot take
+/// the intervals of concurrent replays (simmpi::replay_trace can).
 TraceOutcome run_all_schemes(const workloads::TraceSpec& spec, const RunOptions& opts = {});
 
 /// Run the schemes on an existing trace (spec_id stays -1).

@@ -340,6 +340,12 @@ StudyResult run_study(const StudyOptions& opts) {
   int nthreads = opts.threads;
   if (nthreads <= 0)
     nthreads = std::min(16u, std::max(1u, std::thread::hardware_concurrency()));
+  // `threads` budgets the whole study: each worker holds a seat in it, and
+  // a trace starts scheme helpers only with what the workers leave free —
+  // with fewer traces than threads, or once workers run out of traces.
+  SchemeThreads scheme_threads(nthreads);
+  RunOptions run_opts = opts.run;
+  run_opts.scheme_threads = &scheme_threads;
   nthreads = std::min<int>(nthreads, static_cast<int>(specs.size()));
   reg.gauge("study.threads").record(static_cast<std::uint64_t>(nthreads));
 
@@ -373,7 +379,7 @@ StudyResult run_study(const StudyOptions& opts) {
       // format, so the hook can append it verbatim.
       const std::vector<std::string> tasks(todo.size());
       auto fn = [&](const std::string&, const robust::WorkerEnv& env) {
-        return serialize_outcome(run_all_schemes(specs[todo[env.task_index]], opts.run));
+        return serialize_outcome(run_all_schemes(specs[todo[env.task_index]], run_opts));
       };
       auto on_result = [&](std::size_t k, const robust::TaskResult& r) {
         const workloads::TraceSpec& spec = specs[todo[k]];
@@ -430,6 +436,7 @@ StudyResult run_study(const StudyOptions& opts) {
     std::atomic<std::size_t> next{0};
     auto worker = [&, trace_id = telemetry::current_trace_id()] {
       const telemetry::TraceIdScope worker_trace(trace_id);
+      const SchemeThreads::Seat seat(scheme_threads);
       const telemetry::ScopedTimer busy(
           reg.histogram("study.worker_busy_seconds", telemetry::duration_bounds()));
       while (true) {
@@ -437,7 +444,7 @@ StudyResult run_study(const StudyOptions& opts) {
         const std::size_t i = next.fetch_add(1);
         if (i >= specs.size()) return;
         if (have[i] != 0) continue;
-        result.outcomes[i] = run_all_schemes(specs[i], opts.run);
+        result.outcomes[i] = run_all_schemes(specs[i], run_opts);
         computed[i] = 1;
         // An interrupted trace carries kSkipped schemes: journaling it would
         // make the resumed run restore the hole instead of recomputing it.

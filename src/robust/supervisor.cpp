@@ -27,6 +27,8 @@ namespace hps::robust {
 
 namespace {
 
+bool g_in_worker = false;  // set once in the forked child, before any thread
+
 using Clock = std::chrono::steady_clock;
 
 /// kTask payload header: u32 task index | u32 attempt | u64 trace id, then
@@ -57,6 +59,7 @@ class SigpipeIgnore {
 /// inherited destructors / atexit handlers run in the child.
 [[noreturn]] void worker_main(int task_fd, int result_fd, const WorkerFn& fn,
                               const SupervisorOptions& opts) {
+  g_in_worker = true;
   ipc::set_worker_result_fd(result_fd);
   std::signal(SIGPIPE, SIG_IGN);  // parent death → EPIPE, handled below
 
@@ -526,6 +529,8 @@ std::vector<TaskResult> Supervisor::run() {
 }
 
 }  // namespace
+
+bool in_supervised_worker() { return g_in_worker; }
 
 const char* task_status_name(TaskResult::Status s) {
   switch (s) {

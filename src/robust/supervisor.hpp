@@ -94,4 +94,9 @@ std::vector<TaskResult> run_supervised(const std::vector<std::string>& tasks,
                                        const WorkerFn& fn, const SupervisorOptions& opts,
                                        const ResultHook& on_result = {});
 
+/// True inside a worker process of run_supervised. Such workers run one
+/// task each and their pool already fills the cores; under an RLIMIT_AS
+/// they must not grow extra thread stacks either.
+bool in_supervised_worker();
+
 }  // namespace hps::robust

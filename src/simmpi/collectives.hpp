@@ -64,11 +64,32 @@ struct CollectiveDesc {
   std::span<const std::uint64_t> recv_sizes;
 };
 
-/// Expand the collective into `out` (cleared first), with every Isend and
-/// Recv numbered by `seq`. HPS_CHECK fails if more than 65,536 messages
-/// would go to, or come from, one peer.
+/// Rounds of an O(n) schedule one windowed expansion emits (below).
+inline constexpr int kScheduleWindow = 64;
+
+/// expand_collective_window's return value once the schedule is complete.
+inline constexpr int kScheduleDone = -1;
+
+/// Expand rounds [first_round, first_round + max_rounds) of the collective
+/// into `out` (cleared first), with every Isend and Recv numbered by `seq`
+/// as in the whole schedule. Returns the round to resume from, or
+/// kScheduleDone. Only the O(n)-round schedules are windowed: pairwise
+/// alltoall and alltoallv (round k exchanges with me +/- (k + 1)) and the
+/// ring allgather (round k passes block k on). Every other algorithm has
+/// O(log n) rounds and emits its whole schedule from round 0. A windowed
+/// Alltoallv reads only the recv_sizes entries of the window's sources
+/// (pairwise_source). HPS_CHECK fails if more than 65,536 messages would go
+/// to, or come from, one peer.
+int expand_collective_window(const CollectiveDesc& d, const CollectiveAlgos& algos,
+                             int first_round, int max_rounds, std::vector<SubOp>& out);
+
+/// The whole schedule in one call.
 void expand_collective(const CollectiveDesc& d, const CollectiveAlgos& algos,
                        std::vector<SubOp>& out);
+
+/// The member whose block `me` receives in round `round` of a pairwise
+/// alltoall or Alltoallv over n members.
+inline int pairwise_source(int n, int me, int round) { return (me - round - 1 + n) % n; }
 
 /// Number of p2p rounds of the dissemination barrier for n ranks (tests).
 int dissemination_rounds(int n);

@@ -87,7 +87,7 @@ void Replayer::unblock(Rank r) {
     // collective sub-schedule count as collective time, as do waits on
     // collective-internal requests; plain request waits and app-level
     // WaitAll count as wait time.
-    const bool in_coll = !st.subops.empty();
+    const bool in_coll = st.coll_members != nullptr;
     double* bucket = &components_.wait_ns;
     auto kind = obs::IntervalKind::kWait;
     switch (st.block) {
@@ -133,10 +133,13 @@ void Replayer::advance(Rank r) {
       if (!exec_subop(r, st, op)) return;
       continue;
     }
-    if (!st.subops.empty()) {
+    if (st.coll_members != nullptr) {
+      if (st.coll_round != kScheduleDone) {
+        expand_window(st);
+        continue;
+      }
       HPS_CHECK_MSG(st.coll_isends_empty(), "collective ended with unwaited isends");
-      st.subops.clear();
-      st.sub_pc = 0;
+      st.coll_members = nullptr;
     }
     if (st.pc >= events.size()) {
       st.done = true;
@@ -224,6 +227,10 @@ bool Replayer::exec_subop(Rank r, RankState& st, const SubOp& op) {
     case SubOp::Kind::kWaitOne: {
       HPS_CHECK_MSG(!st.coll_isends_empty(), "WaitOne with no outstanding collective isend");
       const std::int64_t req = st.coll_isends[st.coll_head++];
+      if (st.coll_isends_empty()) {  // reuse the buffer: it never outgrows one round trip
+        st.coll_isends.clear();
+        st.coll_head = 0;
+      }
       return do_wait(r, st, req);
     }
     case SubOp::Kind::kWaitAll:
@@ -432,7 +439,8 @@ void Replayer::begin_collective(Rank r, RankState& st, const trace::Event& e) {
                 "collective tag space exhausted");
   const Tag tag = -(1 + (e.comm << 20) + static_cast<Tag>(inst));
 
-  CollectiveDesc d;
+  CollectiveDesc& d = st.coll;
+  d = CollectiveDesc{};
   d.op = e.type;
   d.n = static_cast<int>(members.size());
   d.me = me;
@@ -443,19 +451,32 @@ void Replayer::begin_collective(Rank r, RankState& st, const trace::Event& e) {
     d.root = root;
   }
   if (e.type == trace::OpType::kAlltoallv) {
-    const std::uint32_t ainst = st.a2av_count[static_cast<std::uint32_t>(e.comm)]++;
-    const auto& my_vlist = trace_.rank(r).vlists[static_cast<std::size_t>(e.aux)];
-    d.send_sizes = my_vlist;
-    recv_sizes_scratch_.resize(members.size());
-    for (std::size_t j = 0; j < members.size(); ++j)
-      recv_sizes_scratch_[j] = a2av_.vlist(e.comm, j, ainst)[static_cast<std::size_t>(me)];
-    d.recv_sizes = recv_sizes_scratch_;
+    st.coll_a2av_inst = st.a2av_count[static_cast<std::uint32_t>(e.comm)]++;
+    d.send_sizes = trace_.rank(r).vlists[static_cast<std::size_t>(e.aux)];
   }
-
-  expand_collective(d, cfg_.algos, st.subops);
-  st.sub_pc = 0;
+  st.coll_comm = e.comm;
   st.coll_members = &members;
   st.coll_tag = tag;
+  st.coll_round = 0;  // advance() expands the schedule a window at a time
+}
+
+void Replayer::expand_window(RankState& st) {
+  CollectiveDesc& d = st.coll;
+  if (d.op == trace::OpType::kAlltoallv) {
+    const int last = std::min(d.n - 1, st.coll_round + kScheduleWindow);
+    recv_sizes_scratch_.resize(std::max(recv_sizes_scratch_.size(),
+                                        static_cast<std::size_t>(d.n)));
+    for (int k = st.coll_round; k < last; ++k) {
+      const auto src = static_cast<std::size_t>(pairwise_source(d.n, d.me, k));
+      recv_sizes_scratch_[src] =
+          a2av_.vlist(st.coll_comm, src, st.coll_a2av_inst)[static_cast<std::size_t>(d.me)];
+    }
+    d.recv_sizes = std::span(recv_sizes_scratch_.data(), static_cast<std::size_t>(d.n));
+  }
+  st.coll_round = expand_collective_window(d, cfg_.algos, st.coll_round, kScheduleWindow,
+                                           st.subops);
+  st.sub_pc = 0;
+  peak_window_ = std::max(peak_window_, st.subops.size());
 }
 
 ReplayResult Replayer::run() {

@@ -109,6 +109,10 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   /// Run to completion and harvest results. Throws on deadlock.
   ReplayResult run();
 
+  /// The most collective SubOps any rank has held at once: at most one
+  /// window (kScheduleWindow rounds) of an O(n) schedule.
+  std::size_t peak_window() const { return peak_window_; }
+
   // MessageSink:
   void message_delivered(simnet::MsgId id, SimTime at) override;
 
@@ -138,13 +142,20 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
 
   struct RankState {
     std::size_t pc = 0;  // index into the rank's trace events
+    // The collective in progress, if coll_members is set: its descriptor,
+    // the window of its schedule being executed, and the round the next
+    // window starts at (kScheduleDone after the last).
+    const std::vector<Rank>* coll_members = nullptr;
+    CollectiveDesc coll;
+    CommId coll_comm = 0;
+    std::uint32_t coll_a2av_inst = 0;  ///< Alltoallv: instance on coll_comm
+    int coll_round = kScheduleDone;
     std::vector<SubOp> subops;
     std::size_t sub_pc = 0;
-    const std::vector<Rank>* coll_members = nullptr;
     Tag coll_tag = 0;
     // Collective isends in issue order, not yet waited: a vector drained by
-    // a head cursor instead of a deque — the set is tiny and reset at every
-    // collective, so one reused buffer beats the deque's paged storage.
+    // a head cursor instead of a deque, rewound whenever it runs empty, so
+    // one small reused buffer beats the deque's paged storage.
     std::vector<std::int64_t> coll_isends;
     std::size_t coll_head = 0;
     bool coll_isends_empty() const { return coll_head == coll_isends.size(); }
@@ -190,6 +201,8 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
                std::int64_t req);
   bool do_wait(Rank r, RankState& st, std::int64_t req);
   void begin_collective(Rank r, RankState& st, const trace::Event& e);
+  /// Replace the rank's SubOps with the next window of its collective.
+  void expand_window(RankState& st);
 
   void inject(MsgKind kind, const trace::MatchKey& key, std::uint32_t slot, Rank from,
               Rank to, std::uint64_t bytes);
@@ -246,8 +259,10 @@ class Replayer final : public simnet::MessageSink, private des::Handler {
   std::int64_t next_coll_req_ = 0;
   Rank finished_ = 0;
   obs::ComponentTimes components_;  ///< accumulated at each unblock
+  /// Alltoallv receive sizes of one window, shared by all ranks: only the
+  /// entries of the window being expanded are current.
   std::vector<std::uint64_t> recv_sizes_scratch_;
-  std::vector<SubOp> subop_scratch_;
+  std::size_t peak_window_ = 0;
 };
 
 }  // namespace hps::simmpi

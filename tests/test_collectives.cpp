@@ -5,10 +5,13 @@
 // blocking semantics, and move the right amount of data.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <queue>
+#include <string>
 #include <vector>
 
+#include "reference_collectives.hpp"
 #include "simmpi/collectives.hpp"
 
 namespace hps::simmpi {
@@ -279,6 +282,157 @@ TEST(Collectives, BruckUsesLogRounds) {
   for (const auto& op : p) p_sends += op.kind == SubOp::Kind::kIsend ? 1 : 0;
   EXPECT_EQ(b_sends, 6);   // log2(64)
   EXPECT_EQ(p_sends, 63);  // n-1 pairwise rounds
+}
+
+// --- Windowed expansion against the whole-schedule reference ---------------
+
+/// Index of the first SubOp where the two schedules differ, or -1.
+long first_difference(const std::vector<SubOp>& a, const std::vector<SubOp>& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i)
+    if (a[i].kind != b[i].kind || a[i].seq != b[i].seq || a[i].peer != b[i].peer ||
+        a[i].bytes != b[i].bytes)
+      return static_cast<long>(i);
+  return a.size() == b.size() ? -1 : static_cast<long>(n);
+}
+
+/// Expand `d` window by window, each `window` rounds, into one schedule.
+/// `fill_recv`, if set, is called before each window with its first round.
+template <typename FillRecv>
+std::vector<SubOp> expand_windows(const CollectiveDesc& d, const CollectiveAlgos& algos,
+                                  int window, FillRecv&& fill_recv) {
+  std::vector<SubOp> all, part;
+  int round = 0;
+  do {
+    fill_recv(round);
+    round = expand_collective_window(d, algos, round, window, part);
+    all.insert(all.end(), part.begin(), part.end());
+  } while (round != kScheduleDone);
+  return all;
+}
+
+std::vector<int> differential_sizes() {
+  std::vector<int> sizes;
+  for (int n = 1; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(1024);
+  return sizes;
+}
+
+constexpr int kWindows[] = {1, 7, kScheduleWindow};
+
+struct Variant {
+  const char* name;
+  OpType op;
+  std::uint64_t bytes;
+  CollectiveAlgos algos;
+};
+
+std::vector<Variant> variants() {
+  CollectiveAlgos bruck, doubling;
+  bruck.alltoall = CollectiveAlgos::Alltoall::kBruck;
+  doubling.allgather = CollectiveAlgos::Allgather::kRecursiveDoubling;
+  return {{"barrier", OpType::kBarrier, 0, {}},
+          {"bcast", OpType::kBcast, 1000, {}},
+          {"reduce", OpType::kReduce, 1000, {}},
+          {"gather", OpType::kGather, 96, {}},
+          {"scatter", OpType::kScatter, 96, {}},
+          {"allreduce-doubling", OpType::kAllreduce, 1000, {}},
+          {"allreduce-rabenseifner", OpType::kAllreduce, 64 * KiB, {}},
+          {"allgather-ring", OpType::kAllgather, 100, {}},
+          {"allgather-doubling", OpType::kAllgather, 100, doubling},
+          {"alltoall-pairwise", OpType::kAlltoall, 100, {}},
+          {"alltoall-bruck", OpType::kAlltoall, 100, bruck},
+          {"reduce-scatter", OpType::kReduceScatter, 3000, {}},
+          {"reduce-scatter-tiny", OpType::kReduceScatter, 3, {}},
+          {"scan", OpType::kScan, 64, {}}};
+}
+
+TEST(CollectivesDifferential, WindowedExpansionMatchesTheReference) {
+  std::vector<SubOp> ref, whole;
+  for (const Variant& v : variants()) {
+    for (const int n : differential_sizes()) {
+      const int roots = trace::is_rooted(v.op) ? n : 1;
+      for (int root = 0; root < roots; ++root) {
+        for (int me = 0; me < n; ++me) {
+          CollectiveDesc d;
+          d.op = v.op;
+          d.n = n;
+          d.me = me;
+          d.root = root;
+          d.bytes = v.bytes;
+          reference::expand_collective(d, v.algos, ref);
+          expand_collective(d, v.algos, whole);
+          ASSERT_EQ(first_difference(ref, whole), -1)
+              << v.name << " n=" << n << " me=" << me << " root=" << root;
+          // The O(log n) schedules come out whole whatever the window; only
+          // the root-free ones are worth splitting.
+          if (roots > 1) continue;
+          for (const int w : kWindows)
+            ASSERT_EQ(first_difference(ref, expand_windows(d, v.algos, w, [](int) {})), -1)
+                << v.name << " n=" << n << " me=" << me << " window=" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST(CollectivesDifferential, WindowedAlltoallvMatchesTheReference) {
+  // Deterministic size matrix with empty blocks; the windowed expansion gets
+  // receive sizes for the window's sources only, the rest poisoned.
+  constexpr std::uint64_t kPoison = 0xdeadbeef;
+  std::vector<SubOp> ref, whole;
+  for (const int n : differential_sizes()) {
+    const auto block = [n](int from, int to) -> std::uint64_t {
+      const std::uint64_t h = (static_cast<std::uint64_t>(from) * 2654435761u +
+                               static_cast<std::uint64_t>(to) * 40503u + static_cast<unsigned>(n)) %
+                              11;
+      return h < 4 ? 0 : h * 100;
+    };
+    std::vector<std::uint64_t> send(static_cast<std::size_t>(n)), recv(send), window_recv(send);
+    for (int me = 0; me < n; ++me) {
+      for (int j = 0; j < n; ++j) {
+        send[static_cast<std::size_t>(j)] = block(me, j);
+        recv[static_cast<std::size_t>(j)] = block(j, me);
+      }
+      CollectiveDesc d;
+      d.op = OpType::kAlltoallv;
+      d.n = n;
+      d.me = me;
+      d.send_sizes = send;
+      d.recv_sizes = recv;
+      reference::expand_collective(d, {}, ref);
+      expand_collective(d, {}, whole);
+      ASSERT_EQ(first_difference(ref, whole), -1) << "n=" << n << " me=" << me;
+      d.recv_sizes = window_recv;
+      for (const int w : kWindows) {
+        const auto fill = [&](int first) {
+          std::fill(window_recv.begin(), window_recv.end(), kPoison);
+          for (int k = first; k < std::min(n - 1, first + w); ++k) {
+            const auto src = static_cast<std::size_t>(pairwise_source(n, me, k));
+            window_recv[src] = recv[src];
+          }
+        };
+        ASSERT_EQ(first_difference(ref, expand_windows(d, {}, w, fill)), -1)
+            << "n=" << n << " me=" << me << " window=" << w;
+      }
+    }
+  }
+}
+
+TEST(CollectivesDifferential, OnlyLinearSchedulesAreWindowed) {
+  CollectiveDesc d;
+  d.n = 1024;
+  d.me = 5;
+  d.bytes = 8;
+  std::vector<SubOp> out;
+  d.op = OpType::kAlltoall;
+  EXPECT_EQ(expand_collective_window(d, {}, 0, kScheduleWindow, out), kScheduleWindow);
+  EXPECT_EQ(out.size(), 3u * kScheduleWindow);
+  EXPECT_EQ(expand_collective_window(d, {}, 960, kScheduleWindow, out), kScheduleDone);
+  EXPECT_EQ(out.size(), 3u * 63);
+  d.op = OpType::kAllreduce;
+  EXPECT_EQ(expand_collective_window(d, {}, 0, 1, out), kScheduleDone);
+  EXPECT_EQ(out.size(), 3u * 10);  // every recursive-doubling round at once
 }
 
 }  // namespace

@@ -6,12 +6,20 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <system_error>
 
 #include "core/decision.hpp"
 #include "core/runner.hpp"
 #include "core/study.hpp"
+#include "obs/timeline.hpp"
+#include "robust/fault.hpp"
+#include "robust/supervisor.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/builder.hpp"
+#include "trace/validate.hpp"
 #include "workloads/generators.hpp"
 
 namespace hps::core {
@@ -59,8 +67,13 @@ TEST(Runner, ClassificationPopulatedAndClFeatureSet) {
 }
 
 TEST(Runner, MfactIsFastest) {
+  // Wall times compared across schemes are each taken alone: schemes on
+  // helper threads contend with each other for the host.
   const auto t = workloads::generate_app("MG", small_params());
-  const TraceOutcome o = run_all_schemes(t);
+  SchemeThreads alone(0);
+  RunOptions opts;
+  opts.scheme_threads = &alone;
+  const TraceOutcome o = run_all_schemes(t, opts);
   EXPECT_LT(o.of(Scheme::kMfact).wall_seconds, o.of(Scheme::kPacket).wall_seconds);
 }
 
@@ -326,6 +339,237 @@ TEST(Runner, TimingRepeatsAveraged) {
   // Results must be identical regardless of repeats (timing only changes).
   const TraceOutcome single = run_all_schemes(t);
   EXPECT_EQ(o.of(Scheme::kPacketFlow).total_time, single.of(Scheme::kPacketFlow).total_time);
+}
+
+// --- Scheme concurrency ----------------------------------------------------
+
+/// Turns the global registry's metrics (and optionally spans) on for a test
+/// and restores it afterwards.
+class GlobalTelemetry {
+ public:
+  explicit GlobalTelemetry(bool tracing = false)
+      : was_enabled_(reg().enabled()), was_tracing_(reg().tracing()) {
+    reg().set_enabled(true);
+    reg().set_tracing(tracing);
+    reg().reset_values();
+  }
+  ~GlobalTelemetry() {
+    reg().reset_values();
+    reg().set_enabled(was_enabled_);
+    reg().set_tracing(was_tracing_);
+  }
+  static telemetry::Registry& reg() { return telemetry::Registry::global(); }
+  static std::uint64_t helpers() { return reg().snapshot().value("core.scheme_helpers"); }
+
+ private:
+  bool was_enabled_, was_tracing_;
+};
+
+/// Alltoall, Alltoallv with empty and rendezvous-sized blocks, and the ring
+/// Allgather, on 100 ranks and on a 70-member sub-communicator: every O(n)
+/// schedule spans more than one window.
+trace::Trace windowed_collectives_trace() {
+  trace::TraceMeta m;
+  m.app = "windows";
+  m.machine = "cielito";
+  m.nranks = 100;
+  m.ranks_per_node = 4;
+  trace::Trace t(m);
+  std::vector<Rank> members;
+  for (Rank r = 0; r < m.nranks; ++r)
+    if (r % 10 < 7) members.push_back(r);
+  const CommId sub = t.add_comm(members);
+  const auto block = [](Rank from, Rank to) -> std::uint64_t {
+    const int h = (from * 31 + to * 17) % 7;
+    return h == 0 ? 0 : h == 1 ? 12 * KiB : 64u * static_cast<std::uint64_t>(h);
+  };
+  for (Rank r = 0; r < m.nranks; ++r) {
+    trace::RankBuilder b(t, r);
+    b.compute(1000 + 13 * r);
+    b.alltoall(256, 0);
+    std::vector<std::uint64_t> v;
+    for (Rank j = 0; j < m.nranks; ++j) v.push_back(block(r, j));
+    b.alltoallv(v, 0);
+    b.allgather(512, 0);
+    if (r % 10 < 7) {
+      v.clear();
+      for (const Rank j : members) v.push_back(block(j, r));
+      b.alltoallv(v, 0, sub);
+      b.allgather(128, 0, sub);
+    }
+    b.compute(500);
+  }
+  trace::validate_or_throw(t);
+  return t;
+}
+
+std::string outcome_bytes(TraceOutcome o) {
+  for (SchemeOutcome& so : o.scheme) so.wall_seconds = 0;
+  return serialize_outcome(o);
+}
+
+TEST(SchemeConcurrency, ConcurrentAndSerialOutcomesAreTheSameBytes) {
+  const GlobalTelemetry telemetry;
+  const trace::Trace traces[] = {windowed_collectives_trace(),
+                                 workloads::generate_app("IS", small_params()),
+                                 workloads::generate_app("FT", small_params()),
+                                 workloads::generate_app("CG", small_params())};
+  for (const trace::Trace& t : traces) {
+    SchemeThreads alone(0), room(3);
+    RunOptions serial, concurrent;
+    serial.scheme_threads = &alone;
+    concurrent.scheme_threads = &room;
+    const std::uint64_t before = GlobalTelemetry::helpers();
+    const TraceOutcome a = run_all_schemes(t, serial);
+    EXPECT_EQ(GlobalTelemetry::helpers(), before) << t.meta().app;
+    const TraceOutcome b = run_all_schemes(t, concurrent);
+    EXPECT_EQ(GlobalTelemetry::helpers(), before + 2) << t.meta().app;
+    for (const SchemeOutcome& so : b.scheme) EXPECT_TRUE(so.ok) << t.meta().app << so.error;
+    EXPECT_EQ(outcome_bytes(a), outcome_bytes(b)) << t.meta().app;
+    EXPECT_EQ(room.running(), 0);
+  }
+}
+
+TEST(SchemeConcurrency, FlowFaultOnAHelperTripsOnlyFlow) {
+  const GlobalTelemetry telemetry;
+  const auto t = workloads::generate_app("MG", small_params());
+  robust::set_fault_plan(robust::parse_fault_plan("site=flow,spec=7,scheme=flow,kind=cancel"));
+  robust::FaultContext ctx;
+  ctx.spec_id = 7;  // the helper only matches if it runs under this context
+  SchemeThreads room(3);
+  RunOptions opts;
+  opts.scheme_threads = &room;
+  TraceOutcome o;
+  {
+    const robust::FaultScope scope(ctx);
+    o = run_all_schemes(t, opts);
+  }
+  robust::clear_fault_plan();
+  EXPECT_EQ(GlobalTelemetry::helpers(), 2u);
+  EXPECT_FALSE(o.of(Scheme::kFlow).ok);
+  EXPECT_EQ(o.of(Scheme::kFlow).fail_kind, robust::FailKind::kInjected);
+  for (const Scheme s : {Scheme::kMfact, Scheme::kPacket, Scheme::kPacketFlow})
+    EXPECT_TRUE(o.of(s).ok) << scheme_name(s) << ": " << o.of(s).error;
+}
+
+TEST(SchemeConcurrency, HelperSpansCarryTheCallersTraceId) {
+  const GlobalTelemetry telemetry(/*tracing=*/true);
+  const auto t = workloads::generate_app("MG", small_params());
+  SchemeThreads room(3);
+  RunOptions opts;
+  opts.scheme_threads = &room;
+  {
+    const telemetry::TraceIdScope id(0xfeed);
+    run_all_schemes(t, opts);
+  }
+  std::map<std::string, telemetry::SpanRecord> by_scheme;
+  for (const telemetry::SpanRecord& s : GlobalTelemetry::reg().spans())
+    if (s.cat == "scheme") by_scheme[s.name.substr(0, s.name.find(' '))] = s;
+  ASSERT_EQ(by_scheme.size(), 4u);
+  for (const auto& [scheme, span] : by_scheme) EXPECT_EQ(span.trace_id, 0xfeedu) << scheme;
+  // Packet and flow ran on threads of their own.
+  EXPECT_NE(by_scheme["packet"].tid, by_scheme["mfact"].tid);
+  EXPECT_NE(by_scheme["flow"].tid, by_scheme["mfact"].tid);
+  EXPECT_EQ(by_scheme["packet-flow"].tid, by_scheme["mfact"].tid);
+}
+
+TEST(SchemeConcurrency, MfactOnlyRunsStartNoHelper) {
+  const GlobalTelemetry telemetry;
+  SchemeThreads room(3);
+  RunOptions opts;
+  opts.scheme_threads = &room;
+  opts.mfact_only = true;
+  const TraceOutcome o = run_all_schemes(workloads::generate_app("MG", small_params()), opts);
+  EXPECT_TRUE(o.of(Scheme::kMfact).ok);
+  EXPECT_EQ(GlobalTelemetry::helpers(), 0u);
+}
+
+TEST(SchemeConcurrency, FailedThreadStartRunsTheSchemeInline) {
+  const GlobalTelemetry telemetry;
+  const auto t = workloads::generate_app("MG", small_params());
+  int attempts = 0;
+  static int* seen = nullptr;
+  seen = &attempts;
+  SchemeThreads failing(3, [](std::function<void()>) -> std::jthread {
+    ++*seen;
+    throw std::system_error(std::make_error_code(std::errc::resource_unavailable_try_again));
+  });
+  SchemeThreads alone(0);
+  RunOptions opts, serial;
+  opts.scheme_threads = &failing;
+  serial.scheme_threads = &alone;
+  const TraceOutcome o = run_all_schemes(t, opts);
+  EXPECT_GE(attempts, 2);  // packet and flow each tried a helper
+  EXPECT_EQ(GlobalTelemetry::helpers(), 0u);
+  EXPECT_EQ(failing.running(), 0);
+  EXPECT_EQ(outcome_bytes(o), outcome_bytes(run_all_schemes(t, serial)));
+}
+
+TEST(SchemeConcurrency, DirectCallersShareTheProcessBudget) {
+  const GlobalTelemetry telemetry;
+  const auto t = workloads::generate_app("MG", small_params());
+  SchemeThreads& process = SchemeThreads::process();
+  const int capacity = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  {
+    // Other callers hold all seats but one, which this call's own thread
+    // takes: its schemes all stay here.
+    std::vector<std::unique_ptr<SchemeThreads::Seat>> seats;
+    for (int i = 0; i < capacity - 1; ++i)
+      seats.push_back(std::make_unique<SchemeThreads::Seat>(process));
+    run_all_schemes(t);
+    EXPECT_EQ(GlobalTelemetry::helpers(), 0u);
+  }
+  // Its own seat plus packet and flow, as far as the budget reaches. On a
+  // budget of 2, packet-flow may follow on a helper once packet is done.
+  run_all_schemes(t);
+  const std::uint64_t helpers = GlobalTelemetry::helpers();
+  EXPECT_GE(helpers, static_cast<std::uint64_t>(std::min(2, capacity - 1)));
+  EXPECT_LE(helpers, capacity == 1 ? 0u : 2u);
+  EXPECT_EQ(process.running(), 0);
+}
+
+TEST(SchemeConcurrency, SupervisedWorkersStartNoHelper) {
+  const GlobalTelemetry telemetry;
+  const auto t = workloads::generate_app("MG", small_params());
+  robust::SupervisorOptions sup;
+  const auto results = robust::run_supervised(
+      {std::string()},
+      [&](const std::string&, const robust::WorkerEnv&) {
+        SchemeThreads room(3);
+        RunOptions opts;
+        opts.scheme_threads = &room;
+        const std::uint64_t before = GlobalTelemetry::helpers();
+        const TraceOutcome o = run_all_schemes(t, opts);
+        return std::to_string(GlobalTelemetry::helpers() - before) + " " +
+               (o.of(Scheme::kFlow).ok ? "ok" : "failed");
+      },
+      sup);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].status, robust::TaskResult::Status::kOk) << results[0].detail;
+  EXPECT_EQ(results[0].payload, "0 ok");
+}
+
+TEST(SchemeConcurrency, StudyThreadsBudgetTheWholeStudy) {
+  const GlobalTelemetry telemetry;
+  StudyOptions opts;
+  opts.corpus.limit = 2;
+  opts.corpus.duration_scale = 0.05;
+  opts.threads = 1;  // one worker holds the only seat
+  const StudyResult serial = run_study(opts);
+  EXPECT_EQ(GlobalTelemetry::helpers(), 0u);
+  opts.threads = 4;  // two workers, two seats left for helpers
+  const StudyResult pooled = run_study(opts);
+  EXPECT_GT(GlobalTelemetry::helpers(), 0u);
+  ASSERT_EQ(serial.outcomes.size(), pooled.outcomes.size());
+  for (std::size_t i = 0; i < serial.outcomes.size(); ++i)
+    EXPECT_EQ(outcome_bytes(serial.outcomes[i]), outcome_bytes(pooled.outcomes[i]));
+}
+
+TEST(SchemeConcurrency, ReplayTimelineIsRejected) {
+  obs::TimelineRecorder timeline;
+  RunOptions opts;
+  opts.replay.timeline = &timeline;
+  EXPECT_THROW(run_all_schemes(workloads::generate_app("EP", small_params()), opts), Error);
 }
 
 }  // namespace

@@ -331,5 +331,27 @@ TEST(Replayer, EagerThresholdConfigurable) {
   EXPECT_GT(rdv.rank_finish[0], 10 * kMillisecond);
 }
 
+// A 1024-rank Alltoallv's pairwise schedule is 3 * 1023 SubOps per rank; the
+// replayer holds one window of it at a time, and the run still completes.
+TEST(Replayer, AlltoallvHoldsOneScheduleWindowPerRank) {
+  constexpr Rank kRanks = 1024;
+  TraceMeta m = meta(kRanks);
+  m.ranks_per_node = 16;
+  Trace t(m);
+  std::vector<std::uint64_t> sizes(kRanks);
+  for (Rank r = 0; r < kRanks; ++r) {
+    for (Rank j = 0; j < kRanks; ++j)
+      sizes[static_cast<std::size_t>(j)] = (r * 7 + j * 3) % 5 == 0 ? 0 : 16;
+    RankBuilder(t, r).alltoallv(sizes, 0);
+  }
+  trace::validate_or_throw(t);
+  const machine::MachineInstance mi(machine::cielito(), kRanks, m.ranks_per_node);
+  Replayer rp(t, mi, NetModelKind::kPacketFlow, {});
+  const ReplayResult res = rp.run();
+  EXPECT_GT(res.total_time, 0);
+  EXPECT_LE(rp.peak_window(), 3u * kScheduleWindow);
+  EXPECT_GT(rp.peak_window(), 2u * kScheduleWindow);
+}
+
 }  // namespace
 }  // namespace hps::simmpi
