@@ -61,6 +61,33 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1 << 6)->Arg(1 << 13)->Arg(1 << 17);
 
+// --- Event queue in the hold model: a steady population where every pop
+// makes room for a later push, as in a long replay. Every 16th pop re-pushes
+// a burst of 16 events at one instant and the others push none, so the
+// population holds at its start size while the window rebuilds keep laying
+// bursts onto different buckets. PushPop above drains what it pushed and
+// never reaches this regime. `retained_kb` is the queue's storage at the end.
+void BM_EventQueueHold(benchmark::State& state) {
+  NullHandler h;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kBurst = 16;
+  Rng rng(9);
+  des::EventQueue q;
+  for (std::uint64_t i = 0; i < n; ++i)
+    q.push(static_cast<SimTime>(rng.uniform_u64(1 << 20)), &h, 0, 0);
+  std::uint64_t pops = 0;
+  for (auto _ : state) {
+    const des::QueuedEvent ev = q.pop();
+    if (++pops % kBurst == 0) {
+      const SimTime t = ev.t + static_cast<SimTime>(rng.uniform_u64(1 << 20));
+      for (std::uint64_t j = 0; j < kBurst; ++j) q.push(t, &h, 0, 0);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["retained_kb"] = static_cast<double>(q.retained_bytes()) / 1024.0;
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1000)->Arg(40000);
+
 // --- Topology routing. ------------------------------------------------------
 template <typename MakeTopo>
 void route_bench(benchmark::State& state, MakeTopo make) {

@@ -6,6 +6,7 @@
 #include <system_error>
 #include <vector>
 
+#include "common/cpus.hpp"
 #include "common/error.hpp"
 #include "machine/machine.hpp"
 #include "robust/fault.hpp"
@@ -250,7 +251,7 @@ SchemeThreads::SchemeThreads(int capacity, Starter start)
                               : [](std::function<void()> fn) { return std::jthread(std::move(fn)); }) {}
 
 SchemeThreads& SchemeThreads::process() {
-  static SchemeThreads budget(static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  static SchemeThreads budget(usable_cpus());
   return budget;
 }
 

@@ -96,8 +96,9 @@ class SchemeThreads {
   SchemeThreads(const SchemeThreads&) = delete;
   SchemeThreads& operator=(const SchemeThreads&) = delete;
 
-  /// The budget of callers that name none: hardware_concurrency() threads,
-  /// shared by the whole process.
+  /// The budget of callers that name none: usable_cpus() threads (the
+  /// affinity mask capped by the cgroup CPU quota), shared by the whole
+  /// process.
   static SchemeThreads& process();
 
   /// RAII: counts the calling thread for its lifetime, even past capacity.
@@ -116,6 +117,7 @@ class SchemeThreads {
   bool try_acquire();
   void release() { running_.fetch_sub(1); }
   int running() const { return running_.load(); }
+  int capacity() const { return capacity_; }
   std::jthread start(std::function<void()> fn) const { return start_(std::move(fn)); }
 
  private:

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/cpus.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "robust/fault.hpp"
@@ -339,7 +340,7 @@ StudyResult run_study(const StudyOptions& opts) {
 
   int nthreads = opts.threads;
   if (nthreads <= 0)
-    nthreads = std::min(16u, std::max(1u, std::thread::hardware_concurrency()));
+    nthreads = std::min(16, usable_cpus());
   // `threads` budgets the whole study: each worker holds a seat in it, and
   // a trace starts scheme helpers only with what the workers leave free —
   // with fewer traces than threads, or once workers run out of traces.

@@ -25,7 +25,7 @@ enum class IsolateMode {
 struct StudyOptions {
   workloads::CorpusOptions corpus;
   RunOptions run;
-  int threads = 0;          ///< 0 = hardware concurrency (capped at 16)
+  int threads = 0;          ///< 0 = usable_cpus() (capped at 16)
   std::string cache_path;   ///< empty = no caching
   /// Append one JSON-lines obs::LedgerRecord per trace×scheme here whenever
   /// the study is actually computed (cache hits do not re-append). Empty =

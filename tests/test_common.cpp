@@ -1,12 +1,16 @@
 // Unit tests for the common module: units, RNG, descriptive statistics,
 // dense linear algebra, and table formatting.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include <unordered_map>
 
+#include "common/cpus.hpp"
 #include "common/flat_hash.hpp"
 #include "common/interner.hpp"
 #include "common/matrix.hpp"
@@ -368,4 +372,43 @@ TEST(IndexPool, RecyclesSlotsLifo) {
 }
 
 }  // namespace
+TEST(Cpus, ParseCpuMax) {
+  EXPECT_EQ(parse_cpu_max("max 100000\n"), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("200000 100000\n"), 2);
+  EXPECT_EQ(parse_cpu_max("150000 100000"), 2);  // a part CPU rounds up
+  EXPECT_EQ(parse_cpu_max("50000 100000"), 1);
+  EXPECT_EQ(parse_cpu_max("1 100000"), 1);
+  EXPECT_EQ(parse_cpu_max("400000 100000 \n"), 4);
+  EXPECT_EQ(parse_cpu_max(""), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("100000"), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("100000 0"), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("0 100000"), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("-1 100000"), std::nullopt);
+  EXPECT_EQ(parse_cpu_max("12x 100000"), std::nullopt);
+}
+
+TEST(Cpus, AffinityCountsAThreadPinnedToOneCpu) {
+  int pinned = 0;
+  int before = 0;
+  std::thread t([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+    before = affinity_cpus();
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof set, &set), 0);
+    pinned = affinity_cpus();
+  });
+  t.join();
+  EXPECT_EQ(pinned, 1);
+  EXPECT_GE(before, 1);
+  EXPECT_LE(before, static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  // The process figure is this (unpinned) thread's mask at most.
+  EXPECT_GE(usable_cpus(), 1);
+  EXPECT_LE(usable_cpus(), before);
+}
+
 }  // namespace hps

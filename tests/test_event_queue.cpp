@@ -1,11 +1,13 @@
 // Differential tests for the DES event queue: the calendar/bucket structure
 // must pop in exactly the (time, sequence) order a reference
 // std::priority_queue produces, across randomized workloads that force heap
-// mode, calendar mode, window rebuilds, far-heap overflow, and the drain
+// mode, calendar mode, window rebuilds, far-set overflow, and the drain
 // reset — per-change invisibility is the contract the hot-path overhaul is
-// built on.
+// built on. A storage test holds the queue's memory to its peak live
+// population, whatever the history of bursts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -72,6 +74,98 @@ void differential(std::uint64_t seed, std::size_t ops, std::uint64_t time_range,
     ref.pop();
   }
   EXPECT_TRUE(q.empty());
+}
+
+/// Packet trains: every pop may schedule a train of events paced `gap`
+/// apart, the way a NIC injects a message's packets. Trains start on a
+/// coarse grid after a random delay, so many of them start together, as
+/// after a collective's step. Phases alternate between growing the
+/// population to a random target and draining it to a small floor, and each
+/// phase draws its own pacing, grid and delay range, so successive window
+/// rebuilds lay the bursts onto different buckets. `sentinels` events at
+/// kSimTimeMax sit in the far set throughout. Queue and reference must pop
+/// identically; `peak` returns the largest live population.
+void packet_trains(EventQueue& q, std::uint64_t seed, int phases, std::size_t sentinels,
+                   std::size_t& peak) {
+  NullHandler h;
+  RefQueue ref;
+  Rng rng(seed);
+  std::uint64_t next_seq = 0;
+  SimTime now = 0;
+  peak = 0;
+  const auto push = [&](SimTime t) {
+    q.push(t, &h, 0, 0);
+    ref.emplace(t, next_seq++);
+    peak = std::max(peak, q.size());
+  };
+  const auto pow2_upto = [&](std::uint64_t max_exp) {
+    return SimTime{1} << rng.uniform_u64(max_exp + 1);
+  };
+  for (std::size_t i = 0; i < sentinels; ++i) push(kSimTimeMax);
+  push(0);
+  for (int phase = 0; phase < phases; ++phase) {
+    const bool grow = phase % 2 == 0;
+    const std::size_t goal =
+        grow ? 2000 + rng.uniform_u64(18000) : sentinels + 1 + rng.uniform_u64(300);
+    const SimTime gap = rng.uniform_u64(4) == 0 ? 0 : pow2_upto(8);
+    const SimTime grid = pow2_upto(8);
+    const SimTime max_delay = pow2_upto(12);
+    while (grow ? ref.size() < goal : ref.size() > goal) {
+      ASSERT_EQ(q.next_time(), ref.top().first);
+      const QueuedEvent ev = q.pop();
+      ASSERT_EQ(ev.t, ref.top().first);
+      ASSERT_EQ(ev.seq, ref.top().second);
+      ref.pop();
+      now = ev.t;
+      // Growing, a pop starts a train of 1..32 packets; draining, one pop in
+      // eight starts a short one.
+      const std::uint64_t len =
+          grow ? 1 + rng.uniform_u64(32) : (rng.uniform_u64(8) == 0 ? 1 + rng.uniform_u64(3) : 0);
+      SimTime start = now + rng.uniform_int(1, max_delay);
+      start += grid - start % grid;
+      for (std::uint64_t j = 0; j < len; ++j) push(start + static_cast<SimTime>(j) * gap);
+      if (ref.size() <= sentinels) push(now + 1);  // keep the history going
+    }
+  }
+  while (!ref.empty()) {
+    const QueuedEvent ev = q.pop();
+    ASSERT_EQ(ev.t, ref.top().first);
+    ASSERT_EQ(ev.seq, ref.top().second);
+    ref.pop();
+  }
+  ASSERT_TRUE(q.empty());
+}
+
+TEST(EventQueueDifferential, PacketTrains) {
+  // Without sentinels the windows track the trains; with them, the mean-gap
+  // width hits its cap and the front bucket takes most pushes as sorted
+  // inserts.
+  for (const std::size_t sentinels : {0u, 4u}) {
+    for (const std::uint64_t seed : {21ull, 22ull}) {
+      EventQueue q;
+      std::size_t peak = 0;
+      packet_trains(q, seed, 12, sentinels, peak);
+      ASSERT_GT(peak, 2000u);  // the history reached calendar mode
+    }
+  }
+}
+
+TEST(EventQueue, StorageBoundedByPeakLivePopulation) {
+  // After many rebuilds over bursts that fell on different buckets each
+  // time, the queue keeps at most twice its peak live population (vector
+  // growth doubles) plus the bucket ring's 4-byte heads, of which there are
+  // at most bit_ceil(max(peak / 2, 64)) <= max(peak, 64).
+  for (const std::size_t sentinels : {0u, 4u}) {
+    EventQueue q;
+    std::size_t peak = 0;
+    packet_trains(q, 31, 24, sentinels, peak);
+    const std::size_t heads = std::max<std::size_t>(peak, 64);
+    EXPECT_LE(q.retained_bytes(),
+              2 * peak * EventQueue::kBytesPerEvent + heads * sizeof(std::uint32_t))
+        << "peak live " << peak << ", sentinels " << sentinels;
+    // The bound is not vacuous: the queue did keep storage for its peak.
+    EXPECT_GE(q.retained_bytes(), peak * sizeof(QueuedEvent));
+  }
 }
 
 TEST(EventQueueDifferential, RandomizedMixedOps) {
